@@ -25,24 +25,13 @@
 use crate::faults::paper_cluster;
 use crate::TextTable;
 use phi_fabric::RemapStrategy;
-use phi_faults::{CampaignScope, FaultPlan};
+use phi_faults::{CampaignScope, FaultPlan, Fnv};
 use phi_hpl::hybrid::{simulate_cluster, HybridConfig};
 use phi_hpl::native::{simulate_native_cluster, simulate_native_cluster_ft, NativeClusterConfig};
 use phi_hpl::{simulate_cluster_faulty, FtPolicy};
 use phi_serve::store::{Record, ResultStore};
+use phi_tune::striped_map;
 use std::fmt::Write;
-
-/// FNV-1a offset basis (matches the faults crate's fingerprints).
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv_mix(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// Knobs of one fleet campaign.
 #[derive(Clone, Debug)]
@@ -166,9 +155,9 @@ fn eval_seed(
         .report
         .faults
         .expect("faulty runs carry accounting");
-    let mut fp = patch.run_fingerprint();
-    fnv_mix(&mut fp, whsl.run_fingerprint());
-    fnv_mix(&mut fp, native.time_s.to_bits());
+    let mut fp = Fnv::resume(patch.run_fingerprint());
+    fp.write_u64(whsl.run_fingerprint());
+    fp.write_u64(native.time_s.to_bits());
     SeedOutcome {
         seed,
         hosts_lost: f.hosts_lost,
@@ -177,56 +166,17 @@ fn eval_seed(
         patch_gflops: patch.result.report.gflops,
         whsl_time_s: whsl.result.report.time_s,
         native_time_s: native.time_s,
-        fingerprint: fp,
+        fingerprint: fp.finish(),
     }
 }
 
-fn resolve_threads(threads: usize, work: usize) -> usize {
-    let auto = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    if threads == 0 { auto } else { threads }
-        .min(work.max(1))
-        .max(1)
-}
-
-/// Thread-striped, deterministically merged map over `0..count`:
-/// thread `t` takes indices `t, t + T, t + 2T, …` and results land in
-/// their input slots, so the output is independent of `T` and of
-/// thread scheduling — the `phi-tune` evaluator's idiom.
-pub(crate) fn striped_map<R, F>(count: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if count == 0 {
-        return Vec::new();
+/// Every per-seed fingerprint folded in seed order.
+fn fleet_digest(outcomes: &[SeedOutcome]) -> u64 {
+    let mut h = Fnv::new();
+    for o in outcomes {
+        h.write_u64(o.fingerprint);
     }
-    let nthreads = resolve_threads(threads, count);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(count);
-    out.resize_with(count, || None);
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nthreads)
-            .map(|t| {
-                s.spawn(move || {
-                    (t..count)
-                        .step_by(nthreads)
-                        .map(|i| (i, f(i)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("fleet worker panicked") {
-                out[i] = Some(r);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("slot evaluated"))
-        .collect()
+    h.finish()
 }
 
 /// Runs the whole fleet: `opts.seeds` campaigns, thread-striped,
@@ -239,10 +189,7 @@ pub fn run_fleet(opts: &FleetOptions) -> FleetResult {
     let outcomes = striped_map(opts.seeds, opts.threads, |i| {
         eval_seed(&cfg, &ncfg, healthy.time_s, native_healthy_s, opts, i)
     });
-    let mut digest = FNV_OFFSET;
-    for o in &outcomes {
-        fnv_mix(&mut digest, o.fingerprint);
-    }
+    let digest = fleet_digest(&outcomes);
     FleetResult {
         options: opts.clone(),
         outcomes,
@@ -318,19 +265,16 @@ fn fleet_seed_key(
     grid_size: usize,
     cards_per_node: usize,
 ) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_mix(&mut h, FLEET_STORE_VERSION);
-    fnv_mix(&mut h, seed);
-    for b in opts.scope.name().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    fnv_mix(&mut h, opts.events as u64);
-    fnv_mix(&mut h, healthy_s.to_bits());
-    fnv_mix(&mut h, native_healthy_s.to_bits());
-    fnv_mix(&mut h, grid_size as u64);
-    fnv_mix(&mut h, cards_per_node as u64);
-    h
+    let mut h = Fnv::new();
+    h.write_u64(FLEET_STORE_VERSION);
+    h.write_u64(seed);
+    h.write(opts.scope.name().as_bytes());
+    h.write_u64(opts.events as u64);
+    h.write_u64(healthy_s.to_bits());
+    h.write_u64(native_healthy_s.to_bits());
+    h.write_u64(grid_size as u64);
+    h.write_u64(cards_per_node as u64);
+    h.finish()
 }
 
 /// Store traffic of one [`run_fleet_stored`] call. Per-seed, so
@@ -392,10 +336,7 @@ pub fn run_fleet_stored(
         }
         outcomes.push(out);
     }
-    let mut digest = FNV_OFFSET;
-    for o in &outcomes {
-        fnv_mix(&mut digest, o.fingerprint);
-    }
+    let digest = fleet_digest(&outcomes);
     (
         FleetResult {
             options: opts.clone(),

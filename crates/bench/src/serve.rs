@@ -14,28 +14,17 @@
 //! are reported but deliberately excluded — so the digest is
 //! byte-identical at any worker count, client count or hit/miss split.
 
-use crate::fleet::{percentile, striped_map};
+use crate::fleet::percentile;
 use crate::TextTable;
 use phi_fabric::BcastScheme;
-use phi_faults::CampaignScope;
+use phi_faults::{CampaignScope, Fnv};
 use phi_hpl::hybrid::Lookahead;
 use phi_serve::{CampaignService, CampaignSpec, FaultSpec, ServiceStats};
+use phi_tune::striped_map;
 use std::collections::BTreeSet;
 use std::fmt::Write;
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// FNV-1a offset basis (the workspace's standard fingerprint hash).
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv_mix(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// Knobs of one load-generation run.
 #[derive(Clone, Debug)]
@@ -212,18 +201,18 @@ fn run_phase(
         (out.key, out.fingerprint, out.gflops.to_bits(), us)
     });
     let wall_s = t0.elapsed().as_secs_f64();
-    let mut digest = FNV_OFFSET;
+    let mut digest = Fnv::new();
     let mut lat = Vec::with_capacity(per.len());
     for (i, (key, fp, gbits, us)) in per.into_iter().enumerate() {
-        fnv_mix(&mut digest, i as u64);
-        fnv_mix(&mut digest, key);
-        fnv_mix(&mut digest, fp);
-        fnv_mix(&mut digest, gbits);
+        digest.write_u64(i as u64);
+        digest.write_u64(key);
+        digest.write_u64(fp);
+        digest.write_u64(gbits);
         lat.push(us);
     }
     PhaseReport {
         requests: opts.requests,
-        digest,
+        digest: digest.finish(),
         wall_s,
         requests_per_s: opts.requests as f64 / wall_s.max(1e-9),
         p99_latency_us: percentile(&lat, 99.0),

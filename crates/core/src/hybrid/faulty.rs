@@ -1,10 +1,11 @@
 //! Fault-tolerant hybrid cluster execution under an injected
 //! [`FaultPlan`].
 //!
-//! [`simulate_cluster_faulty`] mirrors [`super::simulate_cluster`]'s
-//! per-stage loop, but before each stage it samples the plan's aggregate
-//! [`Effects`] over the stage's time window and perturbs the calibrated
-//! machine models accordingly:
+//! [`simulate_cluster_faulty`] drives the same per-stage model as
+//! [`super::simulate_cluster`] ([`super::stage`]), but before each stage
+//! it samples the plan's aggregate [`Effects`] over the stage's time
+//! window and hands the stage perturbed copies of the calibrated
+//! machine models:
 //!
 //! * **Link degradation / latency jitter** — the stage's
 //!   [`NetModel`](phi_fabric::NetModel) is replaced by
@@ -60,13 +61,12 @@
 //! plan replays bit-identically from its seed. Both properties are
 //! locked by tests.
 
-use super::{
-    simulate_cluster, ClusterResult, HybridConfig, IterationProfile, Lookahead, WorkDivision,
-};
+use super::{simulate_cluster, stage, ClusterResult, HybridConfig, IterationProfile, StageEnv};
+use crate::offload::OffloadModel;
 use crate::report::{FaultSummary, GigaflopsReport};
 use phi_des::{Kind, Trace};
-use phi_fabric::{ProcessGrid, RemapStrategy, ScheduleShape};
-use phi_faults::{Effects, FaultPlan};
+use phi_fabric::{NetModel, ProcessGrid, RemapStrategy, ScheduleShape};
+use phi_faults::{Effects, FaultPlan, Fnv};
 
 /// Fault-tolerance policy of the run: what the cluster pays up front
 /// (checkpoints) and what recovery costs when a card dies.
@@ -154,152 +154,24 @@ impl FaultyClusterResult {
         let r = &self.result.report;
         let mut h = r
             .faults
-            .map(|f| f.plan_fingerprint)
-            .unwrap_or(0xcbf29ce484222325);
-        for x in [r.time_s.to_bits(), r.gflops.to_bits()] {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        h
+            .map_or_else(Fnv::new, |f| Fnv::resume(f.plan_fingerprint));
+        h.write_u64(r.time_s.to_bits());
+        h.write_u64(r.gflops.to_bits());
+        h.finish()
     }
 }
 
-/// Everything a stage costs, under a given card count and fault state.
-struct StageTimes {
-    stage_time: f64,
-    busy: f64,
-    update: f64,
-    three_exposed: f64,
-    panel_exposed: f64,
-}
-
-/// One stage of the hybrid loop — the same arithmetic as
-/// [`super::simulate_cluster`], parameterized by the surviving card
-/// count, the stage's aggregate fault effects, and the patch-remap
-/// load imbalance (survivors carrying dead coordinates' trailing
-/// work). With `cards_avail == cfg.cards_per_node`, healthy effects
-/// and `imbalance == 1.0` this is bit-identical to the unfaulted stage
-/// (IEEE-754 multiplication by 1.0 is exact).
-fn stage_times(
-    cfg: &HybridConfig,
-    stage: usize,
-    s: usize,
-    cards_avail: usize,
-    eff: &Effects,
-    imbalance: f64,
-) -> StageTimes {
-    let host = &cfg.offload.host;
-    let (p, q) = (cfg.grid.p, cfg.grid.q);
-    let host_cores = host.cfg.cores() as f64;
-    let nb = cfg.nb.min(cfg.n - stage * cfg.nb);
-
-    let net = cfg.net.degraded(eff.net_bw_factor, eff.extra_latency_s);
-    // Perturb the offload model: CRC stalls amortized at the strip
-    // cadence, stragglers dragging the card clock.
-    let mut off = cfg.offload;
-    let typical_xfer_s = 8.0 * (cfg.nb * off.kt) as f64 / off.pcie.effective_bw;
+/// The offload model under the stage's fault effects: CRC stalls
+/// amortized into a bandwidth derate at the strip-transfer cadence,
+/// stragglers dragging the card clock. Bit-identical to `offload` under
+/// [`Effects::healthy`].
+fn perturbed_offload(offload: &OffloadModel, nb: usize, eff: &Effects) -> OffloadModel {
+    let mut off = *offload;
+    let typical_xfer_s = 8.0 * (nb * off.kt) as f64 / off.pcie.effective_bw;
     let retry_fraction = (eff.pcie_stall_s / typical_xfer_s).min(0.9);
     off.pcie = off.pcie.with_crc_stall(eff.pcie_stall_s, retry_fraction);
     off.card.chip = off.card.chip.with_straggler(1.0, eff.compute_slowdown);
-
-    let rows_loc = (0..p)
-        .map(|r| cfg.grid.trailing_blocks_row(r, stage + 1, s))
-        .max()
-        .unwrap_or(0)
-        * cfg.nb;
-    let cols_loc = (0..q)
-        .map(|c| cfg.grid.trailing_blocks_col(c, stage + 1, s))
-        .max()
-        .unwrap_or(0)
-        * cfg.nb;
-    let rows_loc = rows_loc.min(cfg.n);
-    let cols_loc = cols_loc.min(cfg.n);
-
-    let m_panel_loc = ((cfg.n - stage * cfg.nb) / p).max(nb);
-    let panel_cores = host_cores - if cards_avail > 0 { cfg.pack_cores } else { 0.0 };
-    let t_panel = host.panel_time_s(m_panel_loc, nb, panel_cores)
-        + if p > 1 {
-            nb as f64 * 2.0 * net.latency * (p as f64).log2().ceil()
-        } else {
-            0.0
-        };
-    let t_pbcast = net.bcast(cfg.bcast, 8.0 * (m_panel_loc * nb) as f64, q);
-
-    let t_swap = host.swap_time_s(nb, cols_loc) + net.long_swap(nb, cols_loc, p);
-    let t_trsm = host.trsm_time_s(nb, cols_loc, panel_cores);
-    let t_ubcast = net.u_bcast(nb, cols_loc, p);
-    let three = t_swap + t_trsm + t_ubcast;
-
-    let (t_update, busy) = if rows_loc == 0 || cols_loc == 0 {
-        (0.0, 0.0)
-    } else if cards_avail > 0 {
-        let out = match cfg.division {
-            WorkDivision::Dynamic => {
-                off.analytic(rows_loc, cols_loc, cards_avail, cfg.host_update_cores)
-            }
-            WorkDivision::Static { card_fraction } => off.analytic_split(
-                rows_loc,
-                cols_loc,
-                cards_avail,
-                cfg.host_update_cores,
-                card_fraction,
-            ),
-        };
-        (out.time_s, out.card_busy_s)
-    } else {
-        // §V rebalance with the card share forced to zero: the host's
-        // full core set takes the whole trailing update.
-        (
-            host.gemm_time_s(rows_loc, cols_loc, nb, host_cores) / cfg.host_lu_efficiency,
-            0.0,
-        )
-    };
-    // Patched-out ranks: each survivor shoulders `imbalance ×` its own
-    // trailing share (and its card stays busy proportionally longer).
-    let (t_update, busy) = (t_update * imbalance, busy * imbalance);
-
-    // Look-ahead pre-update (mirrors `super::run_cluster`).
-    let t_pre = if cards_avail > 0 && rows_loc > 0 {
-        host.gemm_time_s(rows_loc, nb, off.kt, panel_cores)
-    } else {
-        0.0
-    };
-
-    let (stage_time, three_exposed, panel_exposed) = match cfg.lookahead {
-        Lookahead::None => (
-            t_panel + t_pbcast + three + t_update,
-            three,
-            t_panel + t_pbcast,
-        ),
-        Lookahead::Basic => {
-            let overlap = t_update.max(t_pre + t_panel + t_pbcast);
-            (
-                three + overlap,
-                three,
-                (t_pre + t_panel + t_pbcast - t_update).max(0.0),
-            )
-        }
-        Lookahead::Pipelined => {
-            let first_strip = three / cfg.strips as f64;
-            let host_path = t_pre + t_panel + t_pbcast + three * cfg.pipeline_overhead;
-            let card_path = t_update + first_strip;
-            (
-                card_path.max(host_path),
-                first_strip,
-                (host_path - card_path).max(0.0),
-            )
-        }
-    };
-
-    StageTimes {
-        stage_time,
-        busy,
-        update: t_update,
-        three_exposed,
-        panel_exposed,
-    }
+    off
 }
 
 /// Runs the hybrid cluster simulation under `plan`, tolerating every
@@ -315,24 +187,15 @@ pub fn simulate_cluster_faulty(
     policy: &FtPolicy,
     keep_profiles: bool,
 ) -> FaultyClusterResult {
-    assert!(
-        cfg.bytes_per_node() <= cfg.host_mem_gib * 1.073741824e9 * 0.95,
-        "N = {} does not fit in {} GiB/node on a {}x{} grid",
-        cfg.n,
-        cfg.host_mem_gib,
-        cfg.grid.p,
-        cfg.grid.q
-    );
+    super::assert_fits_host_memory(cfg);
     let s = cfg.n.div_ceil(cfg.nb);
-    let host = &cfg.offload.host;
 
     let mut trace = Trace::default();
     trace.enable();
 
-    // The live configuration: host deaths remap `cur.grid` mid-run, so
-    // every stage prices against the grid the survivors actually form.
-    // With no host deaths `cur` stays bit-identical to `cfg`.
-    let mut cur = *cfg;
+    // The live grid: host deaths may reshape it mid-run, so every stage
+    // prices against the grid the survivors actually form.
+    let mut grid = cfg.grid;
 
     let mut total = 0.0f64;
     let mut card_busy_total = 0.0f64;
@@ -361,7 +224,7 @@ pub fn simulate_cluster_faulty(
             let newly_dead = deaths_now - deaths_applied;
             let restore = if policy.checkpoint_panels {
                 // Reload factorization state from the panel checkpoints.
-                8.0 * ((cfg.n / cur.grid.p).max(nb) * nb) as f64 / policy.checkpoint_bw
+                8.0 * ((cfg.n / grid.p).max(nb) * nb) as f64 / policy.checkpoint_bw
             } else {
                 // No checkpoint: the in-flight stage's update replays.
                 prev_update
@@ -426,7 +289,7 @@ pub fn simulate_cluster_faulty(
                 // the fallback grid's block-cyclic ownership.
                 reshaped = true;
                 blocks_moved += phi_fabric::PatchRemap::wholesale_trailing_blocks(stage, s);
-                cur.grid = ProcessGrid::fallback_grid(survivors);
+                grid = ProcessGrid::fallback_grid(survivors);
                 let trailing = (cfg.n - factored_cols) as f64;
                 8.0 * trailing * trailing / (survivors as f64 * policy.redistribution_bw)
             };
@@ -448,37 +311,54 @@ pub fn simulate_cluster_faulty(
             cfg.grid.patch_imbalance(patched_dead.len())
         };
 
-        // Two-pass effects sampling: estimate the stage with healthy
+        // Two-pass effects sampling: estimate the stage on the healthy
         // models, then average the plan's transient windows over that
-        // estimate. Deterministic, and exact when no window straddles
-        // the stage boundary.
-        let est = stage_times(&cur, stage, s, cards_avail, &Effects::healthy(), imbalance);
-        let eff = plan.effects_over(total, total + est.stage_time);
-        let st = stage_times(&cur, stage, s, cards_avail, &eff, imbalance);
-
-        trace.record(
-            0,
-            total,
-            total + st.panel_exposed + st.three_exposed,
-            Kind::Panel,
+        // estimate and price it again on the perturbed copies.
+        // Deterministic, and exact when no window straddles the stage
+        // boundary.
+        let (rows_loc, cols_loc) = stage::worst_extents(grid, cfg.n, cfg.nb, stage);
+        let price = |net: &NetModel, offload: &OffloadModel| {
+            let env = StageEnv {
+                cfg,
+                grid,
+                net,
+                offload,
+                cards: cards_avail,
+            };
+            let mut parts = stage::parts(&env, stage, rows_loc, cols_loc);
+            // Patched-out ranks: each survivor shoulders `imbalance ×` its
+            // own trailing share (and its card stays busy proportionally
+            // longer). Exactly `× 1.0` with no patched deaths.
+            parts.update *= imbalance;
+            parts.busy *= imbalance;
+            let composed = parts.compose(cfg.lookahead, cfg.strips, cfg.pipeline_overhead);
+            (parts, composed)
+        };
+        let (_, (est_time, _, _)) = price(&cfg.net, &cfg.offload);
+        let eff = plan.effects_over(total, total + est_time);
+        let (parts, (stage_time, three_exposed, panel_exposed)) = price(
+            &cfg.net.degraded(eff.net_bw_factor, eff.extra_latency_s),
+            &perturbed_offload(&cfg.offload, cfg.nb, &eff),
         );
+
+        trace.record(0, total, total + panel_exposed + three_exposed, Kind::Panel);
         trace.record(
             1,
-            total + (st.stage_time - st.update).max(0.0),
-            total + st.stage_time,
+            total + (stage_time - parts.update).max(0.0),
+            total + stage_time,
             Kind::Gemm,
         );
 
-        total += st.stage_time;
-        card_busy_total += st.busy;
-        weighted_cards += st.stage_time * cards_avail as f64;
-        prev_update = st.update;
+        total += stage_time;
+        card_busy_total += parts.busy;
+        weighted_cards += stage_time * cards_avail as f64;
+        prev_update = parts.update;
 
         if policy.checkpoint_panels {
             // Panel-granular checkpoint: the factored m × nb panel and
             // its pivots are copied to a retained host region before the
             // stage retires.
-            let m_panel_loc = ((cfg.n - stage * cfg.nb) / cur.grid.p).max(nb);
+            let (m_panel_loc, _) = stage::panel_shape(cfg, grid.p, stage);
             let ckpt = (8.0 * (m_panel_loc * nb) as f64 + 8.0 * nb as f64) / policy.checkpoint_bw;
             trace.record(0, total, total + ckpt, Kind::Comm);
             total += ckpt;
@@ -489,17 +369,16 @@ pub fn simulate_cluster_faulty(
             profiles.push(IterationProfile {
                 stage,
                 trailing_n: cfg.n - stage * cfg.nb,
-                stage_time: st.stage_time,
-                card_busy: st.busy,
-                panel_exposed: st.panel_exposed,
-                three_exposed: st.three_exposed,
-                update: st.update,
+                stage_time,
+                card_busy: parts.busy,
+                panel_exposed,
+                three_exposed,
+                update: parts.update,
             });
         }
     }
 
-    total += 2.0 * (cfg.n as f64 / cur.grid.p as f64) * (cfg.n as f64 / cur.grid.q as f64) * 8.0
-        / (host.cfg.stream_bw_gbs * 1e9);
+    total += super::backsub_time_s(cfg, grid);
 
     // Fault windows on the fault lane, clipped to the run.
     for ev in plan.events() {
@@ -520,7 +399,7 @@ pub fn simulate_cluster_faulty(
         events: plan.events().len(),
         cards_lost: deaths_applied,
         hosts_lost: hosts_applied,
-        fallback_grid: reshaped.then_some((cur.grid.p, cur.grid.q)),
+        fallback_grid: reshaped.then_some((grid.p, grid.q)),
         remap: policy.remap,
         blocks_moved,
         checkpoint_s,

@@ -19,19 +19,24 @@
 //!   panels (Fig. 8c / Fig. 9b). This is the paper's contribution on top
 //!   of Bach et al., worth up to 11% per iteration.
 //!
-//! The simulation composes per-stage times from the calibrated host,
-//! card, PCIe and network models, iterating the real block-cyclic
-//! geometry of the grid, and reports both the end-to-end result
-//! (Table III) and per-iteration profiles (Fig. 9).
+//! One stage is priced in exactly one place, [`stage`]: ingredient
+//! times from the calibrated host, card, PCIe and network models over
+//! the real block-cyclic geometry of the grid, then the look-ahead
+//! overlap. Everything else here is a driver of that model — the
+//! healthy and DES-calibrated stage loop (this file; Table III and the
+//! Fig. 9 profiles), the fault-injected loop ([`faulty`]), the
+//! rank-level DES ([`rankdes`]) and the Fig. 8 Gantt ([`stage_gantt`]).
 
 pub mod faulty;
 pub mod rankdes;
+pub mod stage;
 pub mod stage_gantt;
 
 pub use faulty::{recovery_regimes, simulate_cluster_faulty, FaultyClusterResult, FtPolicy};
 pub use rankdes::{simulate_cluster_rankdes, RankDesResult};
+pub use stage::{StageEnv, StageParts};
 
-use crate::offload::OffloadModel;
+use crate::offload::{OffloadModel, OffloadOutcome};
 use crate::report::GigaflopsReport;
 use phi_fabric::{BcastScheme, NetModel, ProcessGrid};
 use phi_knc::Precision;
@@ -167,28 +172,13 @@ pub struct ClusterResult {
     pub card_idle_fraction: f64,
 }
 
-/// Fidelity of the trailing-update term in the stage loop.
-#[derive(Clone, Copy, Debug)]
-enum UpdateFidelity {
-    /// Closed-form update time on every stage (fast; the default).
-    Analytic,
-    /// Every `every`-th stage re-times the update on the discrete-event
-    /// offload engine; the stages in between scale the closed form by
-    /// the last measured DES/analytic ratio. Orders of magnitude slower
-    /// than `Analytic`, used to re-score tuning finalists.
-    DesSampled {
-        /// Sampling cadence in stages (≥ 1; 1 = every stage on the DES).
-        every: usize,
-    },
-}
-
 /// Runs the per-stage simulation.
 ///
 /// # Panics
 /// Panics when the per-node share does not fit in host memory — the same
 /// constraint that structures Table III.
 pub fn simulate_cluster(cfg: &HybridConfig, keep_profiles: bool) -> ClusterResult {
-    run_cluster(cfg, keep_profiles, UpdateFidelity::Analytic)
+    run_cluster(cfg, keep_profiles, None)
 }
 
 /// The calibrated re-scoring path: like [`simulate_cluster`] but every
@@ -203,16 +193,12 @@ pub fn simulate_cluster(cfg: &HybridConfig, keep_profiles: bool) -> ClusterResul
 /// `sample_every == 0`.
 pub fn simulate_cluster_calibrated(cfg: &HybridConfig, sample_every: usize) -> ClusterResult {
     assert!(sample_every > 0, "sample_every must be >= 1");
-    run_cluster(
-        cfg,
-        false,
-        UpdateFidelity::DesSampled {
-            every: sample_every,
-        },
-    )
+    run_cluster(cfg, false, Some(sample_every))
 }
 
-fn run_cluster(cfg: &HybridConfig, keep_profiles: bool, fidelity: UpdateFidelity) -> ClusterResult {
+/// The memory gate every hybrid entry point shares — the constraint
+/// that structures Table III.
+fn assert_fits_host_memory(cfg: &HybridConfig) {
     assert!(
         cfg.bytes_per_node() <= cfg.host_mem_gib * 1.073741824e9 * 0.95,
         "N = {} does not fit in {} GiB/node on a {}x{} grid",
@@ -221,171 +207,63 @@ fn run_cluster(cfg: &HybridConfig, keep_profiles: bool, fidelity: UpdateFidelity
         cfg.grid.p,
         cfg.grid.q
     );
+}
+
+/// The stage loop: every stage priced by [`stage`] against the worst
+/// node's extents, summed, plus the final back-substitution. With
+/// `des_every = Some(k)` every `k`-th stage re-times its update on the
+/// discrete-event offload engine and the stages in between scale the
+/// closed form by the last measured DES/analytic ratio — orders of
+/// magnitude slower, used to re-score tuning finalists.
+fn run_cluster(cfg: &HybridConfig, keep_profiles: bool, des_every: Option<usize>) -> ClusterResult {
+    assert_fits_host_memory(cfg);
     let s = cfg.n.div_ceil(cfg.nb);
-    let host = &cfg.offload.host;
-    let net = &cfg.net;
-    let (p, q) = (cfg.grid.p, cfg.grid.q);
-    let host_cores = host.cfg.cores() as f64;
+    let env = StageEnv::healthy(cfg);
 
     let mut total = 0.0f64;
     let mut card_busy_total = 0.0f64;
     let mut profiles = Vec::new();
-    // DES/analytic ratio from the last sampled stage (DesSampled only).
+    // DES/analytic ratio from the last sampled stage.
     let mut des_ratio = 1.0f64;
 
     for stage in 0..s {
-        let nb = cfg.nb.min(cfg.n - stage * cfg.nb);
-        // Worst-node local trailing extents (block-cyclic).
-        let rows_loc = (0..p)
-            .map(|r| cfg.grid.trailing_blocks_row(r, stage + 1, s))
-            .max()
-            .unwrap_or(0)
-            * cfg.nb;
-        let cols_loc = (0..q)
-            .map(|c| cfg.grid.trailing_blocks_col(c, stage + 1, s))
-            .max()
-            .unwrap_or(0)
-            * cfg.nb;
-        let rows_loc = rows_loc.min(cfg.n);
-        let cols_loc = cols_loc.min(cfg.n);
+        let (rows_loc, cols_loc) = stage::worst_extents(cfg.grid, cfg.n, cfg.nb, stage);
+        let mut parts = stage::parts(&env, stage, rows_loc, cols_loc);
 
-        // Panel: distributed down the owner column; pivot search adds a
-        // per-column exchange across P.
-        let m_panel_loc = ((cfg.n - stage * cfg.nb) / p).max(nb);
-        let panel_cores = host_cores
-            - if cfg.cards_per_node > 0 {
-                cfg.pack_cores
-            } else {
-                0.0
-            };
-        let t_panel = host.panel_time_s(m_panel_loc, nb, panel_cores)
-            + if p > 1 {
-                nb as f64 * 2.0 * net.latency * (p as f64).log2().ceil()
-            } else {
-                0.0
-            };
-        let t_pbcast = net.bcast(cfg.bcast, 8.0 * (m_panel_loc * nb) as f64, q);
-
-        // The three card-exposed steps.
-        let t_swap = host.swap_time_s(nb, cols_loc) + net.long_swap(nb, cols_loc, p);
-        let t_trsm = host.trsm_time_s(nb, cols_loc, panel_cores);
-        let t_ubcast = net.u_bcast(nb, cols_loc, p);
-        let three = t_swap + t_trsm + t_ubcast;
-
-        // Trailing update.
-        let (t_update, busy) = if rows_loc == 0 || cols_loc == 0 {
-            (0.0, 0.0)
-        } else if cfg.cards_per_node > 0 {
-            let out = match cfg.division {
-                WorkDivision::Dynamic => cfg.offload.analytic(
-                    rows_loc,
-                    cols_loc,
-                    cfg.cards_per_node,
-                    cfg.host_update_cores,
-                ),
-                WorkDivision::Static { card_fraction } => cfg.offload.analytic_split(
-                    rows_loc,
-                    cols_loc,
-                    cfg.cards_per_node,
-                    cfg.host_update_cores,
-                    card_fraction,
-                ),
-            };
-            match fidelity {
-                UpdateFidelity::Analytic => (out.time_s, out.card_busy_s),
-                UpdateFidelity::DesSampled { every } if stage % every == 0 => {
-                    let des = match cfg.division {
-                        WorkDivision::Dynamic => cfg.offload.simulate(
-                            rows_loc,
-                            cols_loc,
-                            cfg.cards_per_node,
-                            cfg.host_update_cores,
-                        ),
-                        // The static-split DES models a single card; with
-                        // more we keep the closed form un-corrected.
-                        WorkDivision::Static { card_fraction } if cfg.cards_per_node == 1 => {
-                            cfg.offload.simulate_static_split(
-                                rows_loc,
-                                cols_loc,
-                                cfg.host_update_cores,
-                                (6, 6),
-                                card_fraction,
-                            )
-                        }
-                        WorkDivision::Static { .. } => out,
-                    };
-                    des_ratio = des.time_s / out.time_s.max(1e-12);
-                    (des.time_s, des.card_busy_s)
-                }
-                UpdateFidelity::DesSampled { .. } => {
-                    (out.time_s * des_ratio, out.card_busy_s * des_ratio)
+        if let Some(every) = des_every {
+            if cfg.cards_per_node > 0 && rows_loc > 0 && cols_loc > 0 {
+                if stage % every == 0 {
+                    let (des_time, des_busy) = des_update(cfg, rows_loc, cols_loc)
+                        .map_or((parts.update, parts.busy), |d| (d.time_s, d.card_busy_s));
+                    des_ratio = des_time / parts.update.max(1e-12);
+                    (parts.update, parts.busy) = (des_time, des_busy);
+                } else {
+                    parts.update *= des_ratio;
+                    parts.busy *= des_ratio;
                 }
             }
-        } else {
-            (
-                host.gemm_time_s(rows_loc, cols_loc, nb, host_cores) / cfg.host_lu_efficiency,
-                0.0,
-            )
-        };
+        }
 
-        // Look-ahead pre-update: before the next panel can factor, its
-        // `nb` columns of the trailing matrix must be brought up to date
-        // by the host (a narrow GEMM on the panel cores) — the cost that
-        // bounds NB from above once panels stop amortizing it.
-        let t_pre = if cfg.cards_per_node > 0 && rows_loc > 0 {
-            host.gemm_time_s(rows_loc, nb, cfg.offload.kt, panel_cores)
-        } else {
-            0.0
-        };
-
-        let (stage_time, three_exposed, panel_exposed) = match cfg.lookahead {
-            Lookahead::None => (
-                t_panel + t_pbcast + three + t_update,
-                three,
-                t_panel + t_pbcast,
-            ),
-            Lookahead::Basic => {
-                let overlap = t_update.max(t_pre + t_panel + t_pbcast);
-                (
-                    three + overlap,
-                    three,
-                    (t_pre + t_panel + t_pbcast - t_update).max(0.0),
-                )
-            }
-            Lookahead::Pipelined => {
-                // Only the first strip of the three steps is exposed; the
-                // rest hides under the update. The strip machinery costs
-                // `pipeline_overhead` of the three steps, paid on the host
-                // path where it delays the panel.
-                let first_strip = three / cfg.strips as f64;
-                let host_path = t_pre + t_panel + t_pbcast + three * cfg.pipeline_overhead;
-                let card_path = t_update + first_strip;
-                (
-                    card_path.max(host_path),
-                    first_strip,
-                    (host_path - card_path).max(0.0),
-                )
-            }
-        };
+        let (stage_time, three_exposed, panel_exposed) =
+            parts.compose(cfg.lookahead, cfg.strips, cfg.pipeline_overhead);
 
         total += stage_time;
-        card_busy_total += busy;
+        card_busy_total += parts.busy;
         if keep_profiles {
             profiles.push(IterationProfile {
                 stage,
                 trailing_n: cfg.n - stage * cfg.nb,
                 stage_time,
-                card_busy: busy,
+                card_busy: parts.busy,
                 panel_exposed,
                 three_exposed,
-                update: t_update,
+                update: parts.update,
             });
         }
     }
 
     // Final back-substitution: bandwidth bound, negligible but real.
-    total += 2.0 * (cfg.n as f64 / p as f64) * (cfg.n as f64 / q as f64) * 8.0
-        / (host.cfg.stream_bw_gbs * 1e9);
+    total += backsub_time_s(cfg, cfg.grid);
 
     let peak = cfg.peak_gflops();
     let report = GigaflopsReport::new(cfg.n, total, peak);
@@ -399,6 +277,37 @@ fn run_cluster(cfg: &HybridConfig, keep_profiles: bool, fidelity: UpdateFidelity
         iterations: profiles,
         card_idle_fraction,
     }
+}
+
+/// Re-times one offloaded trailing update on the discrete-event engine.
+/// `None` where the DES has no model: its static split drives a single
+/// card, so with more the closed form stays un-corrected.
+fn des_update(cfg: &HybridConfig, rows_loc: usize, cols_loc: usize) -> Option<OffloadOutcome> {
+    match cfg.division {
+        WorkDivision::Dynamic => Some(cfg.offload.simulate(
+            rows_loc,
+            cols_loc,
+            cfg.cards_per_node,
+            cfg.host_update_cores,
+        )),
+        WorkDivision::Static { card_fraction } if cfg.cards_per_node == 1 => {
+            Some(cfg.offload.simulate_static_split(
+                rows_loc,
+                cols_loc,
+                cfg.host_update_cores,
+                (6, 6),
+                card_fraction,
+            ))
+        }
+        WorkDivision::Static { .. } => None,
+    }
+}
+
+/// Back-substitution on `grid`: one bandwidth-bound sweep over the
+/// local share of the factored matrix.
+fn backsub_time_s(cfg: &HybridConfig, grid: ProcessGrid) -> f64 {
+    2.0 * (cfg.n as f64 / grid.p as f64) * (cfg.n as f64 / grid.q as f64) * 8.0
+        / (cfg.offload.host.cfg.stream_bw_gbs * 1e9)
 }
 
 #[cfg(test)]

@@ -14,15 +14,15 @@
 //! * every rank, once the panel has both arrived and its own previous
 //!   stage finished, performs its local swap/DTRSM/U-broadcast share and
 //!   trailing update sized by **its own** block-cyclic extents;
-//! * stage costs come from the same calibrated host/card/network models
-//!   as the analytic path, so the two are directly comparable.
+//! * stage costs come from the same stage model as the analytic path
+//!   ([`super::stage`]), so the two are directly comparable.
 //!
 //! The conservative lookahead is the network latency — every cross-rank
 //! message is a real wire message and can never arrive faster — which
 //! makes the execution byte-identical at any `--threads` (the engine's
 //! contract, pinned again here at cluster scale).
 
-use super::{HybridConfig, WorkDivision};
+use super::{stage, HybridConfig, StageEnv};
 use crate::report::GigaflopsReport;
 use phi_des::parallel::{LogicalProcess, Mailbox, ParallelDes, ParallelReport};
 use phi_fabric::GridCoord;
@@ -109,19 +109,12 @@ impl LogicalProcess for RankLu {
 }
 
 /// Builds one [`RankLu`] per grid rank with all stage costs precomputed
-/// from the same models the analytic path uses — but sized by each rank's
-/// *own* block-cyclic extents rather than the worst node's.
+/// by the shared stage model ([`stage::parts`]) — but sized by each
+/// rank's *own* block-cyclic extents rather than the worst node's.
 fn build_ranks(cfg: &HybridConfig) -> Vec<RankLu> {
     let s_total = cfg.n.div_ceil(cfg.nb);
-    let host = &cfg.offload.host;
-    let (p, q) = (cfg.grid.p, cfg.grid.q);
-    let host_cores = host.cfg.cores() as f64;
-    let panel_cores = host_cores
-        - if cfg.cards_per_node > 0 {
-            cfg.pack_cores
-        } else {
-            0.0
-        };
+    let env = StageEnv::healthy(cfg);
+    let q = cfg.grid.q;
 
     let mut ranks = Vec::with_capacity(cfg.grid.size());
     for r in 0..cfg.grid.size() {
@@ -135,59 +128,16 @@ fn build_ranks(cfg: &HybridConfig) -> Vec<RankLu> {
         let mut local = Vec::with_capacity(s_total);
         let mut forward = Vec::with_capacity(s_total);
         for stage in 0..s_total {
-            let nb = cfg.nb.min(cfg.n - stage * cfg.nb);
             let rows_loc =
                 (cfg.grid.trailing_blocks_row(my_p, stage + 1, s_total) * cfg.nb).min(cfg.n);
             let cols_loc =
                 (cfg.grid.trailing_blocks_col(my_q, stage + 1, s_total) * cfg.nb).min(cfg.n);
-            let m_panel_loc = ((cfg.n - stage * cfg.nb) / p).max(nb);
+            let parts = stage::parts(&env, stage, rows_loc, cols_loc);
+            let (m_panel_loc, nb) = stage::panel_shape(cfg, cfg.grid.p, stage);
 
-            panel.push(if stage % q == my_q {
-                host.panel_time_s(m_panel_loc, nb, panel_cores)
-                    + if p > 1 {
-                        nb as f64 * 2.0 * cfg.net.latency * (p as f64).log2().ceil()
-                    } else {
-                        0.0
-                    }
-            } else {
-                0.0
-            });
+            panel.push(if stage % q == my_q { parts.panel } else { 0.0 });
             forward.push(cfg.net.p2p(8.0 * (m_panel_loc * nb) as f64));
-
-            let three = host.swap_time_s(nb, cols_loc)
-                + cfg.net.long_swap(nb, cols_loc, p)
-                + host.trsm_time_s(nb, cols_loc, panel_cores)
-                + cfg.net.u_bcast(nb, cols_loc, p);
-            let update = if rows_loc == 0 || cols_loc == 0 {
-                0.0
-            } else if cfg.cards_per_node > 0 {
-                match cfg.division {
-                    WorkDivision::Dynamic => {
-                        cfg.offload
-                            .analytic(
-                                rows_loc,
-                                cols_loc,
-                                cfg.cards_per_node,
-                                cfg.host_update_cores,
-                            )
-                            .time_s
-                    }
-                    WorkDivision::Static { card_fraction } => {
-                        cfg.offload
-                            .analytic_split(
-                                rows_loc,
-                                cols_loc,
-                                cfg.cards_per_node,
-                                cfg.host_update_cores,
-                                card_fraction,
-                            )
-                            .time_s
-                    }
-                }
-            } else {
-                host.gemm_time_s(rows_loc, cols_loc, nb, host_cores) / cfg.host_lu_efficiency
-            };
-            local.push(three + update);
+            local.push(parts.swap + parts.trsm + parts.ubcast + parts.update);
         }
 
         ranks.push(RankLu {
@@ -228,14 +178,7 @@ pub struct RankDesResult {
 /// Panics when the per-node share does not fit in host memory (same gate
 /// as [`super::simulate_cluster`]).
 pub fn simulate_cluster_rankdes(cfg: &HybridConfig, threads: usize) -> RankDesResult {
-    assert!(
-        cfg.bytes_per_node() <= cfg.host_mem_gib * 1.073741824e9 * 0.95,
-        "N = {} does not fit in {} GiB/node on a {}x{} grid",
-        cfg.n,
-        cfg.host_mem_gib,
-        cfg.grid.p,
-        cfg.grid.q
-    );
+    super::assert_fits_host_memory(cfg);
     let ranks = build_ranks(cfg);
     let mut des = ParallelDes::new(ranks, cfg.net.latency);
     for r in 0..cfg.grid.size() {

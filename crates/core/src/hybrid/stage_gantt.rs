@@ -2,13 +2,13 @@
 //!
 //! Fig. 8 of the paper is a timing diagram of a single HPL iteration on
 //! one node: which of {host, coprocessor} does what, and what overlaps.
-//! This module replays one stage of the per-stage model as explicit
-//! spans on two lanes — lane 0 = Sandy Bridge EP, lane 1 = Knights
+//! This module replays one stage of the shared per-stage model
+//! ([`super::stage`]) as explicit spans on two lanes — lane 0 = Sandy Bridge EP, lane 1 = Knights
 //! Corner — for each [`Lookahead`] scheme, reproducing the figure's
 //! structure: serial everything (8a), panel under update (8b), and the
 //! swap/DTRSM/U-broadcast strips pipelined against the update (8c).
 
-use super::{HybridConfig, Lookahead};
+use super::{stage, HybridConfig, Lookahead, StageEnv};
 use phi_des::{Kind, Trace};
 
 /// Lane index of the host in the produced traces.
@@ -16,7 +16,7 @@ pub const HOST_LANE: u32 = 0;
 /// Lane index of the coprocessor.
 pub const CARD_LANE: u32 = 1;
 
-/// Ingredients of one stage, extracted from the models.
+/// Ingredients of one stage as Fig. 8 draws them.
 #[derive(Clone, Copy, Debug)]
 pub struct StageTimes {
     /// Next panel factorization + its row broadcast (host).
@@ -31,49 +31,18 @@ pub struct StageTimes {
     pub update: f64,
 }
 
-/// Computes the stage ingredients at `stage` for `cfg` (worst node).
+/// Computes the stage ingredients at `stage` for `cfg` (worst node): a
+/// projection of the shared stage model's [`stage::parts`].
 pub fn stage_times(cfg: &HybridConfig, stage: usize) -> StageTimes {
-    let s = cfg.n.div_ceil(cfg.nb);
-    assert!(stage < s, "stage out of range");
-    let host = &cfg.offload.host;
-    let nb = cfg.nb.min(cfg.n - stage * cfg.nb);
-    let (p, q) = (cfg.grid.p, cfg.grid.q);
-    let rows_loc = (0..p)
-        .map(|r| cfg.grid.trailing_blocks_row(r, stage + 1, s))
-        .max()
-        .unwrap_or(0)
-        * cfg.nb;
-    let cols_loc = (0..q)
-        .map(|c| cfg.grid.trailing_blocks_col(c, stage + 1, s))
-        .max()
-        .unwrap_or(0)
-        * cfg.nb;
-    let m_panel_loc = ((cfg.n - stage * cfg.nb) / p).max(nb);
-    let panel_cores = host.cfg.cores() as f64 - cfg.pack_cores;
-
-    let panel = host.panel_time_s(m_panel_loc, nb, panel_cores)
-        + cfg.net.ring_bcast(8.0 * (m_panel_loc * nb) as f64, q);
-    let swap = host.swap_time_s(nb, cols_loc) + cfg.net.long_swap(nb, cols_loc, p);
-    let trsm = host.trsm_time_s(nb, cols_loc, panel_cores);
-    let ubcast = cfg.net.u_bcast(nb, cols_loc, p);
-    let update = if rows_loc > 0 && cols_loc > 0 {
-        cfg.offload
-            .analytic(
-                rows_loc,
-                cols_loc,
-                cfg.cards_per_node,
-                cfg.host_update_cores,
-            )
-            .time_s
-    } else {
-        0.0
-    };
+    assert!(stage < cfg.n.div_ceil(cfg.nb), "stage out of range");
+    let (rows_loc, cols_loc) = stage::worst_extents(cfg.grid, cfg.n, cfg.nb, stage);
+    let parts = stage::parts(&StageEnv::healthy(cfg), stage, rows_loc, cols_loc);
     StageTimes {
-        panel,
-        swap,
-        trsm,
-        ubcast,
-        update,
+        panel: parts.panel + parts.pbcast,
+        swap: parts.swap,
+        trsm: parts.trsm,
+        ubcast: parts.ubcast,
+        update: parts.update,
     }
 }
 
@@ -225,6 +194,25 @@ mod tests {
         assert!(text.contains("Fig. 8b"));
         assert!(text.contains("Fig. 8c"));
         assert!(text.matches("G").count() > 10, "update spans visible");
+    }
+
+    #[test]
+    fn ingredients_are_the_stage_models_on_any_grid_bcast_and_division() {
+        // Everything the old private copy ignored at once: P > 1 (pivot
+        // exchange latency), a non-ring broadcast, a static split.
+        let mut c = cfg();
+        c.bcast = phi_fabric::BcastScheme::Binomial;
+        c.division = super::super::WorkDivision::Static { card_fraction: 0.8 };
+        for s in [0, 5, 33, 69] {
+            let (rows, cols) = stage::worst_extents(c.grid, c.n, c.nb, s);
+            let parts = stage::parts(&StageEnv::healthy(&c), s, rows, cols);
+            let t = stage_times(&c, s);
+            assert_eq!(t.panel.to_bits(), (parts.panel + parts.pbcast).to_bits());
+            assert_eq!(t.swap.to_bits(), parts.swap.to_bits());
+            assert_eq!(t.trsm.to_bits(), parts.trsm.to_bits());
+            assert_eq!(t.ubcast.to_bits(), parts.ubcast.to_bits());
+            assert_eq!(t.update.to_bits(), parts.update.to_bits());
+        }
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //! The 8 GB GDDR per card gates the problem size — the constraint the
 //! hybrid design exists to escape — so this flavour trades problem size
 //! for energy efficiency; see [`crate::energy`] for that comparison.
+//!
+//! One stage is priced in one place, `native_stage_time`; the healthy
+//! and the fault-tolerant entry points both loop over it.
 
+use crate::hybrid::stage::worst_extents;
 use crate::report::GigaflopsReport;
 use phi_fabric::{NetModel, PatchRemap, ProcessGrid, RemapStrategy, ScheduleShape};
 use phi_knc::{KncChip, LuTaskModel, Precision};
@@ -67,11 +71,8 @@ impl NativeClusterConfig {
     }
 }
 
-/// Simulates the native cluster run.
-///
-/// # Panics
-/// Panics when the per-card share exceeds the 8 GB GDDR.
-pub fn simulate_native_cluster(cfg: &NativeClusterConfig) -> GigaflopsReport {
+/// The GDDR gate both native-cluster entry points share.
+fn assert_fits_gddr(cfg: &NativeClusterConfig) {
     let chip = cfg.tasks.gemm.chip;
     assert!(
         cfg.bytes_per_card() <= chip.memory_gib * 1.073741824e9 * 0.9,
@@ -81,56 +82,29 @@ pub fn simulate_native_cluster(cfg: &NativeClusterConfig) -> GigaflopsReport {
         cfg.grid.p,
         cfg.grid.q
     );
-    let s = cfg.n.div_ceil(cfg.nb);
-    let (p, q) = (cfg.grid.p, cfg.grid.q);
-    let t = &cfg.tasks;
-    let cores = chip.cores_compute as f64;
+}
 
+/// Final back-substitution: one bandwidth-bound sweep over the local
+/// share of the factored matrix.
+fn backsub_time_s(cfg: &NativeClusterConfig) -> f64 {
+    2.0 * (cfg.n as f64 / cfg.grid.p as f64) * (cfg.n as f64 / cfg.grid.q as f64) * 8.0
+        / (cfg.tasks.gemm.chip.stream_bw_gbs * 1e9)
+}
+
+/// Simulates the native cluster run: every stage priced by
+/// `native_stage_time` on the healthy machine, plus back-substitution.
+///
+/// # Panics
+/// Panics when the per-card share exceeds the 8 GB GDDR.
+pub fn simulate_native_cluster(cfg: &NativeClusterConfig) -> GigaflopsReport {
+    assert_fits_gddr(cfg);
     let mut total = 0.0f64;
-    for stage in 0..s {
-        let nb = cfg.nb.min(cfg.n - stage * cfg.nb);
-        let rows_loc = (0..p)
-            .map(|r| cfg.grid.trailing_blocks_row(r, stage + 1, s))
-            .max()
-            .unwrap_or(0)
-            * cfg.nb;
-        let cols_loc = (0..q)
-            .map(|c| cfg.grid.trailing_blocks_col(c, stage + 1, s))
-            .max()
-            .unwrap_or(0)
-            * cfg.nb;
-
-        // Panel on the owning card column (a quarter of the card's cores
-        // suffice — the rest continue the previous trailing update, which
-        // we approximate with the dynamic scheduler's steady overlap).
-        let m_panel_loc = ((cfg.n - stage * cfg.nb) / p).max(nb);
-        let panel = t.panel_time_s(m_panel_loc, nb, cores / 4.0);
-        let pbcast = cfg.net.ring_bcast(8.0 * (m_panel_loc * nb) as f64, q)
-            + cfg.nic_hop_s * (q.saturating_sub(1)) as f64;
-
-        // Swap and U broadcast down the columns.
-        let swap = t.swap_time_s(nb, cols_loc, cores) + cfg.net.long_swap(nb, cols_loc, p);
-        let trsm = t.trsm_time_s(nb, cols_loc, cores);
-        let ubcast =
-            cfg.net.u_bcast(nb, cols_loc, p) + cfg.nic_hop_s * (p.saturating_sub(1)) as f64;
-
-        // Trailing update on the whole card (DAG scheduling hides the
-        // panel under it, as in the single-card native flavour).
-        let update = if rows_loc > 0 && cols_loc > 0 {
-            t.update_time_s(rows_loc, cols_loc, nb, cores) / cfg.dag_utilization
-        } else {
-            0.0
-        };
-
-        // Dynamic scheduling overlaps the panel and its broadcast with the
-        // update; swap/trsm/ubcast partially pipeline (the native code
-        // reuses the hybrid's strip pipeline, minus the host).
-        let three_exposed = (swap + trsm + ubcast) / 6.0;
-        total += update.max(panel + pbcast) + three_exposed;
+    for stage in 0..cfg.n.div_ceil(cfg.nb) {
+        total += native_stage_time(cfg, stage, 1.0, &cfg.net, 1.0);
     }
-    total += 2.0 * (cfg.n as f64 / p as f64) * (cfg.n as f64 / q as f64) * 8.0
-        / (chip.stream_bw_gbs * 1e9);
+    total += backsub_time_s(cfg);
 
+    let chip = cfg.tasks.gemm.chip;
     let peak = cfg.grid.size() as f64 * chip.native_peak_gflops(Precision::F64);
     GigaflopsReport::new(cfg.n, total, peak)
 }
@@ -171,15 +145,7 @@ pub fn simulate_native_cluster_ft(
     checkpoint: bool,
     remap: RemapStrategy,
 ) -> GigaflopsReport {
-    let chip = cfg.tasks.gemm.chip;
-    assert!(
-        cfg.bytes_per_card() <= chip.memory_gib * 1.073741824e9 * 0.9,
-        "N = {} does not fit {} GiB of GDDR per card on a {}x{} grid",
-        cfg.n,
-        chip.memory_gib,
-        cfg.grid.p,
-        cfg.grid.q
-    );
+    assert_fits_gddr(cfg);
     let s = cfg.n.div_ceil(cfg.nb);
     let p = cfg.grid.p;
     let size = cfg.grid.size();
@@ -249,10 +215,10 @@ pub fn simulate_native_cluster_ft(
 
         // Transient fault state averaged over the stage (two-pass, as in
         // the hybrid flavour: healthy estimate, then perturbed compute).
-        let est = native_stage_time(cfg, stage, s, 1.0, &cfg.net, 1.0);
+        let est = native_stage_time(cfg, stage, 1.0, &cfg.net, 1.0);
         let eff = plan.effects_over(total, total + est);
         let net = cfg.net.degraded(eff.net_bw_factor, eff.extra_latency_s);
-        let stage_time = native_stage_time(cfg, stage, s, redivide, &net, eff.compute_slowdown);
+        let stage_time = native_stage_time(cfg, stage, redivide, &net, eff.compute_slowdown);
         total += stage_time;
         prev_stage = stage_time;
 
@@ -263,10 +229,10 @@ pub fn simulate_native_cluster_ft(
             checkpoint_s += ckpt;
         }
     }
-    total += 2.0 * (cfg.n as f64 / p as f64) * (cfg.n as f64 / cfg.grid.q as f64) * 8.0
-        / (chip.stream_bw_gbs * 1e9);
+    total += backsub_time_s(cfg);
 
     let healthy = simulate_native_cluster(cfg);
+    let chip = cfg.tasks.gemm.chip;
     let peak = cfg.grid.size() as f64 * chip.native_peak_gflops(Precision::F64);
     GigaflopsReport::new(cfg.n, total, peak).with_faults(crate::report::FaultSummary {
         plan_fingerprint: plan.fingerprint(),
@@ -318,15 +284,14 @@ pub fn native_recovery_regimes(
     shapes
 }
 
-/// One stage of the native-cluster loop — the same arithmetic as the
-/// body of [`simulate_native_cluster`], with the compute terms scaled by
+/// One stage of the native-cluster loop — the only place the native
+/// cluster prices a stage — with the compute terms scaled by
 /// `redivide × slowdown` and the network terms taken from `net`. Both
-/// scale factors at `1.0` and the configured net reproduce the
-/// unfaulted stage bit-identically.
+/// scale factors at `1.0` (exact in IEEE-754) and the configured net
+/// give the healthy stage.
 fn native_stage_time(
     cfg: &NativeClusterConfig,
     stage: usize,
-    s: usize,
     redivide: f64,
     net: &NetModel,
     slowdown: f64,
@@ -336,33 +301,33 @@ fn native_stage_time(
     let t = &cfg.tasks;
     let cores = chip.cores_compute as f64;
     let nb = cfg.nb.min(cfg.n - stage * cfg.nb);
-    let rows_loc = (0..p)
-        .map(|r| cfg.grid.trailing_blocks_row(r, stage + 1, s))
-        .max()
-        .unwrap_or(0)
-        * cfg.nb;
-    let cols_loc = (0..q)
-        .map(|c| cfg.grid.trailing_blocks_col(c, stage + 1, s))
-        .max()
-        .unwrap_or(0)
-        * cfg.nb;
+    let (rows_loc, cols_loc) = worst_extents(cfg.grid, cfg.n, cfg.nb, stage);
 
+    // Panel on the owning card column (a quarter of the card's cores
+    // suffice — the rest continue the previous trailing update, which
+    // we approximate with the dynamic scheduler's steady overlap).
     let m_panel_loc = ((cfg.n - stage * cfg.nb) / p).max(nb);
     let panel = t.panel_time_s(m_panel_loc, nb, cores / 4.0) * redivide * slowdown;
     let pbcast = net.ring_bcast(8.0 * (m_panel_loc * nb) as f64, q)
         + cfg.nic_hop_s * (q.saturating_sub(1)) as f64;
 
+    // Swap and U broadcast down the columns.
     let swap =
         t.swap_time_s(nb, cols_loc, cores) * redivide * slowdown + net.long_swap(nb, cols_loc, p);
     let trsm = t.trsm_time_s(nb, cols_loc, cores) * redivide * slowdown;
     let ubcast = net.u_bcast(nb, cols_loc, p) + cfg.nic_hop_s * (p.saturating_sub(1)) as f64;
 
+    // Trailing update on the whole card (DAG scheduling hides the panel
+    // under it, as in the single-card native flavour).
     let update = if rows_loc > 0 && cols_loc > 0 {
         t.update_time_s(rows_loc, cols_loc, nb, cores) / cfg.dag_utilization * redivide * slowdown
     } else {
         0.0
     };
 
+    // Dynamic scheduling overlaps the panel and its broadcast with the
+    // update; swap/trsm/ubcast partially pipeline (the native code
+    // reuses the hybrid's strip pipeline, minus the host).
     let three_exposed = (swap + trsm + ubcast) / 6.0;
     update.max(panel + pbcast) + three_exposed
 }

@@ -199,49 +199,12 @@ impl OffloadModel {
     /// card + host rate with first-strip and last-output exposure.
     /// Cross-checked against the DES in tests.
     pub fn analytic(&self, m: usize, n: usize, cards: usize, host_cores: f64) -> OffloadOutcome {
-        assert!(cards >= 1);
-        if m == 0 || n == 0 {
-            return OffloadOutcome {
-                time_s: 0.0,
-                card_busy_s: 0.0,
-                gflops: 0.0,
-                card_tiles: 0,
-                host_tiles: 0,
-                grid: (1, 1),
-            };
-        }
-        // A fixed 6×6-per-card grid approximates the run-time selection
-        // well at HPL scales.
-        let g = 6usize.min(m).min(n);
-        let (mt, nt) = (m / g.max(1), n / g.max(1));
-        let tile_t = self.tile_time_card(mt.max(1), nt.max(1));
-        let c_dma = 8.0 * (mt * nt) as f64 / self.pcie.effective_bw;
-        // Effective per-card rate: compute, degraded when output DMA
-        // cannot hide.
-        let tile_flops = 2.0 * (mt * nt) as f64 * self.kt as f64;
-        let card_rate = tile_flops / tile_t.max(c_dma) * cards as f64;
-        let host_rate = if host_cores > 0.0 {
-            let eff = self.host.dgemm_efficiency(n.min(m));
-            eff * self.host.cfg.freq_ghz * self.host.cfg.dp_flops_per_cycle * 1e9 * host_cores
-        } else {
-            0.0
+        let Some(t) = self.closed_form_terms(m, n, cards, host_cores) else {
+            return OffloadOutcome::EMPTY;
         };
-        let flops = 2.0 * m as f64 * n as f64 * self.kt as f64;
-        let in_strip = 8.0
-            * (mt * self.kt + nt * self.kt) as f64
-            * (1.0 / (self.host.cfg.stream_bw_gbs * 1e9 * self.host.pack_bw_fraction)
-                + 1.0 / self.pcie.effective_bw);
-        let exposure = in_strip * cards as f64 + c_dma.min(tile_t);
-        let time_s = flops / (card_rate + host_rate) + exposure;
-        let card_share = card_rate / (card_rate + host_rate);
-        OffloadOutcome {
-            time_s,
-            card_busy_s: flops * card_share / card_rate.max(1.0),
-            gflops: flops / time_s / 1e9,
-            card_tiles: 0,
-            host_tiles: 0,
-            grid: (g, g),
-        }
+        let time_s = t.flops / (t.card_rate + t.host_rate) + t.exposure;
+        let card_share = t.card_rate / (t.card_rate + t.host_rate);
+        t.outcome(time_s, t.flops * card_share / t.card_rate.max(1.0))
     }
 
     /// Closed-form **static** split companion to [`analytic`](Self::analytic):
@@ -259,22 +222,47 @@ impl OffloadModel {
         host_cores: f64,
         card_fraction: f64,
     ) -> OffloadOutcome {
-        assert!(cards >= 1);
         assert!((0.0..=1.0).contains(&card_fraction));
+        let Some(t) = self.closed_form_terms(m, n, cards, host_cores) else {
+            return OffloadOutcome::EMPTY;
+        };
+        // With no host lane the card must take everything.
+        let f = if t.host_rate > 0.0 {
+            card_fraction
+        } else {
+            1.0
+        };
+        let t_card = f * t.flops / t.card_rate;
+        let t_host = if t.host_rate > 0.0 {
+            (1.0 - f) * t.flops / t.host_rate
+        } else {
+            0.0
+        };
+        t.outcome(t_card.max(t_host) + t.exposure, t_card)
+    }
+
+    /// The per-side rates and the transfer exposure both closed forms
+    /// are built from; `None` for an empty problem.
+    #[inline]
+    fn closed_form_terms(
+        &self,
+        m: usize,
+        n: usize,
+        cards: usize,
+        host_cores: f64,
+    ) -> Option<ClosedFormTerms> {
+        assert!(cards >= 1);
         if m == 0 || n == 0 {
-            return OffloadOutcome {
-                time_s: 0.0,
-                card_busy_s: 0.0,
-                gflops: 0.0,
-                card_tiles: 0,
-                host_tiles: 0,
-                grid: (1, 1),
-            };
+            return None;
         }
+        // A fixed 6×6-per-card grid approximates the run-time selection
+        // well at HPL scales.
         let g = 6usize.min(m).min(n);
         let (mt, nt) = (m / g.max(1), n / g.max(1));
         let tile_t = self.tile_time_card(mt.max(1), nt.max(1));
         let c_dma = 8.0 * (mt * nt) as f64 / self.pcie.effective_bw;
+        // Effective per-card rate: compute, degraded when output DMA
+        // cannot hide.
         let tile_flops = 2.0 * (mt * nt) as f64 * self.kt as f64;
         let card_rate = tile_flops / tile_t.max(c_dma) * cards as f64;
         let host_rate = if host_cores > 0.0 {
@@ -283,30 +271,58 @@ impl OffloadModel {
         } else {
             0.0
         };
-        // With no host lane the card must take everything.
-        let f = if host_rate > 0.0 { card_fraction } else { 1.0 };
-        let flops = 2.0 * m as f64 * n as f64 * self.kt as f64;
-        let t_card = f * flops / card_rate;
-        let t_host = if host_rate > 0.0 {
-            (1.0 - f) * flops / host_rate
-        } else {
-            0.0
-        };
         let in_strip = 8.0
             * (mt * self.kt + nt * self.kt) as f64
             * (1.0 / (self.host.cfg.stream_bw_gbs * 1e9 * self.host.pack_bw_fraction)
                 + 1.0 / self.pcie.effective_bw);
-        let exposure = in_strip * cards as f64 + c_dma.min(tile_t);
-        let time_s = t_card.max(t_host) + exposure;
+        Some(ClosedFormTerms {
+            g,
+            flops: 2.0 * m as f64 * n as f64 * self.kt as f64,
+            card_rate,
+            host_rate,
+            exposure: in_strip * cards as f64 + c_dma.min(tile_t),
+        })
+    }
+}
+
+/// What [`OffloadModel::analytic`] and
+/// [`OffloadModel::analytic_split`] share.
+struct ClosedFormTerms {
+    /// Tile grid edge.
+    g: usize,
+    /// Flops of the whole update.
+    flops: f64,
+    /// Aggregate card rate, flop/s.
+    card_rate: f64,
+    /// Host stealing-lane rate, flop/s (0 with no host cores).
+    host_rate: f64,
+    /// First-strip input plus last-output transfer time nothing hides.
+    exposure: f64,
+}
+
+impl ClosedFormTerms {
+    fn outcome(&self, time_s: f64, card_busy_s: f64) -> OffloadOutcome {
         OffloadOutcome {
             time_s,
-            card_busy_s: t_card,
-            gflops: flops / time_s / 1e9,
+            card_busy_s,
+            gflops: self.flops / time_s / 1e9,
             card_tiles: 0,
             host_tiles: 0,
-            grid: (g, g),
+            grid: (self.g, self.g),
         }
     }
+}
+
+impl OffloadOutcome {
+    /// The outcome of an empty (`m == 0` or `n == 0`) update.
+    const EMPTY: Self = Self {
+        time_s: 0.0,
+        card_busy_s: 0.0,
+        gflops: 0.0,
+        card_tiles: 0,
+        host_tiles: 0,
+        grid: (1, 1),
+    };
 }
 
 /// One card finishing a tile (or starting up): steal, ensure inputs,

@@ -166,6 +166,34 @@ fn offload_model_physical_invariants() {
     }
 }
 
+/// The closed-form worst-node extents equal the O(P)/O(Q) scan over
+/// every process row and column, for any grid, blocking and stage —
+/// including ragged last blocks and stages past the end.
+#[test]
+fn worst_extents_closed_form_equals_the_grid_scan() {
+    use phi_hpl::hybrid::stage::worst_extents;
+    let mut cases = Cases::new(0xE87E);
+    for _ in 0..2000 {
+        let grid = ProcessGrid::new(cases.index(1, 14), cases.index(1, 14));
+        let nb = cases.index(1, 400);
+        let n = cases.index(1, 40 * nb);
+        let nblocks = n.div_ceil(nb);
+        let stage = cases.index(0, nblocks + 2);
+        let scan = |count: usize, blocks: &dyn Fn(usize) -> usize| {
+            ((0..count).map(blocks).max().unwrap() * nb).min(n)
+        };
+        let rows = scan(grid.p, &|r| grid.trailing_blocks_row(r, stage + 1, nblocks));
+        let cols = scan(grid.q, &|c| grid.trailing_blocks_col(c, stage + 1, nblocks));
+        assert_eq!(
+            worst_extents(grid, n, nb, stage),
+            (rows, cols),
+            "{}x{} grid, n {n}, nb {nb}, stage {stage}",
+            grid.p,
+            grid.q
+        );
+    }
+}
+
 #[test]
 fn hybrid_memory_gate_is_tight() {
     // Just over the gate must panic; just under must run.

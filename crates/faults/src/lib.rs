@@ -56,11 +56,6 @@ const MULT: u64 = 6364136223846793005;
 /// The LCG increment shared with `phi_matrix::HplRng`.
 const ADD: u64 = 1442695040888963407;
 
-/// FNV-1a offset basis (shared by fingerprints and event hashes).
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100000001b3;
-
 /// Salt XORed into a campaign seed before escalation resolution, so the
 /// per-edge resolution draws never alias the event-parameter draws.
 const ESCALATION_SALT: u64 = 0xe5ca_1a7e_0ca5_cade;
@@ -78,72 +73,109 @@ const CHILD_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// finite.
 pub const MAX_CASCADE_DEPTH: usize = 8;
 
-/// FNV-1a over the little-endian bytes of `x`, folded into `h`.
-fn fnv_mix(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
+/// FNV-1a, the workspace's one fingerprint hash: plan fingerprints and
+/// event hashes here, and — re-exported — replay fingerprints, spec
+/// keys, store trailers, tune cache keys and campaign digests
+/// downstream.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fnv {
+    /// The offset basis.
+    pub fn new() -> Self {
+        Fnv(0xcbf29ce484222325)
+    }
+
+    /// Continues from a digest an earlier [`finish`](Self::finish)
+    /// returned, so a stored fingerprint can be extended with more
+    /// fields.
+    pub fn resume(digest: u64) -> Self {
+        Fnv(digest)
+    }
+
+    /// Folds raw bytes.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    /// Folds a `u64` as its little-endian bytes.
+    pub fn write_u64(&mut self, x: u64) {
+        self.write(&x.to_le_bytes());
+    }
+
+    /// The digest.
+    pub fn finish(self) -> u64 {
+        self.0
     }
 }
 
 /// Folds a kind's tag and exact parameter bit patterns into `h`.
-fn mix_kind(h: &mut u64, kind: &FaultKind) {
-    fnv_mix(h, kind.tag());
+fn mix_kind(h: &mut Fnv, kind: &FaultKind) {
+    h.write_u64(kind.tag());
     match *kind {
         FaultKind::LinkDegrade { factor, duration_s } => {
-            fnv_mix(h, factor.to_bits());
-            fnv_mix(h, duration_s.to_bits());
+            h.write_u64(factor.to_bits());
+            h.write_u64(duration_s.to_bits());
         }
         FaultKind::LatencyJitter {
             sigma_s,
             duration_s,
         } => {
-            fnv_mix(h, sigma_s.to_bits());
-            fnv_mix(h, duration_s.to_bits());
+            h.write_u64(sigma_s.to_bits());
+            h.write_u64(duration_s.to_bits());
         }
         FaultKind::PcieCrcStorm {
             stall_s,
             duration_s,
         } => {
-            fnv_mix(h, stall_s.to_bits());
-            fnv_mix(h, duration_s.to_bits());
+            h.write_u64(stall_s.to_bits());
+            h.write_u64(duration_s.to_bits());
         }
         FaultKind::Straggler {
             core_fraction,
             slowdown,
             duration_s,
         } => {
-            fnv_mix(h, core_fraction.to_bits());
-            fnv_mix(h, slowdown.to_bits());
-            fnv_mix(h, duration_s.to_bits());
+            h.write_u64(core_fraction.to_bits());
+            h.write_u64(slowdown.to_bits());
+            h.write_u64(duration_s.to_bits());
         }
-        FaultKind::CardDeath { card } => fnv_mix(h, card as u64),
-        FaultKind::HostDeath { rank } => fnv_mix(h, rank as u64),
+        FaultKind::CardDeath { card } => h.write_u64(card as u64),
+        FaultKind::HostDeath { rank } => h.write_u64(rank as u64),
     }
 }
 
 /// Folds a correlated-group scope's tag and parameters into `h`. Only
 /// called for non-[`Scope::Single`] scopes — the default scope
 /// contributes no bytes, keeping pre-fan-out digests stable.
-fn mix_scope(h: &mut u64, scope: &Scope) {
+fn mix_scope(h: &mut Fnv, scope: &Scope) {
     match scope {
         Scope::Single => {}
-        Scope::SameCard => fnv_mix(h, 1),
+        Scope::SameCard => h.write_u64(1),
         Scope::SameHost { cards } => {
-            fnv_mix(h, 2);
-            fnv_mix(h, *cards as u64);
+            h.write_u64(2);
+            h.write_u64(*cards as u64);
         }
         Scope::RankSet(ranks) => {
-            fnv_mix(h, 3);
-            fnv_mix(h, ranks.len() as u64);
+            h.write_u64(3);
+            h.write_u64(ranks.len() as u64);
             for &r in ranks {
-                fnv_mix(h, r as u64);
+                h.write_u64(r as u64);
             }
         }
         Scope::Fraction { f, of } => {
-            fnv_mix(h, 4);
-            fnv_mix(h, f.to_bits());
-            fnv_mix(h, *of as u64);
+            h.write_u64(4);
+            h.write_u64(f.to_bits());
+            h.write_u64(*of as u64);
         }
     }
 }
@@ -156,23 +188,23 @@ fn mix_scope(h: &mut u64, scope: &Scope) {
 /// edges hash exactly the bytes the pre-fan-out format did, keeping
 /// historical digests stable. Multi-child edges lead with a fan marker
 /// and the child count, so a 2-child fan can never alias a 2-hop chain.
-fn mix_esc(h: &mut u64, esc: &Escalation) {
+fn mix_esc(h: &mut Fnv, esc: &Escalation) {
     if esc.children.len() != 1 {
-        fnv_mix(h, 0xfa0);
-        fnv_mix(h, esc.children.len() as u64);
+        h.write_u64(0xfa0);
+        h.write_u64(esc.children.len() as u64);
     }
     for child in &esc.children {
-        fnv_mix(h, 0xe5c);
+        h.write_u64(0xe5c);
         mix_kind(h, &child.kind);
-        fnv_mix(h, child.delay_s.to_bits());
-        fnv_mix(h, child.probability.to_bits());
+        h.write_u64(child.delay_s.to_bits());
+        h.write_u64(child.probability.to_bits());
         if child.scope != Scope::Single {
-            fnv_mix(h, 0x5c0);
+            h.write_u64(0x5c0);
             mix_scope(h, &child.scope);
         }
         if child.jitter_s != 0.0 {
-            fnv_mix(h, 0x171);
-            fnv_mix(h, child.jitter_s.to_bits());
+            h.write_u64(0x171);
+            h.write_u64(child.jitter_s.to_bits());
         }
         if let Some(next) = &child.then {
             mix_esc(h, next);
@@ -184,13 +216,19 @@ fn mix_esc(h: &mut u64, esc: &Escalation) {
 /// used to key the per-edge resolution draw: identical events draw
 /// identically no matter where they sit in the plan.
 fn event_hash(ev: &FaultEvent) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_mix(&mut h, ev.at_s.to_bits());
-    mix_kind(&mut h, &ev.kind);
+    let mut h = Fnv::new();
+    mix_event(&mut h, ev);
+    h.finish()
+}
+
+/// Folds one event — onset, kind and every hop of its escalation
+/// chain — into `h`.
+fn mix_event(h: &mut Fnv, ev: &FaultEvent) {
+    h.write_u64(ev.at_s.to_bits());
+    mix_kind(h, &ev.kind);
     if let Some(esc) = &ev.escalates_to {
-        mix_esc(&mut h, esc);
+        mix_esc(h, esc);
     }
-    h
 }
 
 /// Seeded 64-bit LCG — the workspace's standard deterministic stream.
@@ -1217,21 +1255,37 @@ impl FaultPlan {
     /// arriving uncorrelated; edge-free and single-hop plans keep
     /// their historical digests.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv::new();
         for ev in &self.events {
-            fnv_mix(&mut h, ev.at_s.to_bits());
-            mix_kind(&mut h, &ev.kind);
-            if let Some(esc) = &ev.escalates_to {
-                mix_esc(&mut h, esc);
-            }
+            mix_event(&mut h, ev);
         }
-        h
+        h.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // FNV-1a("") = offset basis; FNV-1a("a") = 0xaf63dc4c8601ec8c.
+        assert_eq!(Fnv::new().finish(), 0xcbf29ce484222325);
+        let mut h = Fnv::new();
+        h.write(b"a");
+        assert_eq!(h.finish(), 0xaf63dc4c8601ec8c);
+        let mut u = Fnv::new();
+        u.write_u64(0x61); // 'a' then seven zero bytes
+        let mut b = Fnv::new();
+        b.write(&[0x61, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(u.finish(), b.finish());
+        // A resumed digest continues exactly where `finish` left off.
+        let mut r = Fnv::resume(h.finish());
+        r.write(b"b");
+        let mut ab = Fnv::new();
+        ab.write(b"ab");
+        assert_eq!(r.finish(), ab.finish());
+    }
 
     #[test]
     fn empty_plan_is_healthy_everywhere() {
@@ -1488,12 +1542,12 @@ mod tests {
     /// The pre-fan-out escalation hash, re-implemented byte for byte:
     /// `0xe5c, kind, delay, prob`, then the chained hop. The new
     /// `mix_esc` must reproduce it exactly on single-child chains.
-    fn legacy_mix_chain(h: &mut u64, hops: &[(FaultKind, f64, f64)]) {
+    fn legacy_mix_chain(h: &mut Fnv, hops: &[(FaultKind, f64, f64)]) {
         for (kind, delay_s, probability) in hops {
-            fnv_mix(h, 0xe5c);
+            h.write_u64(0xe5c);
             mix_kind(h, kind);
-            fnv_mix(h, delay_s.to_bits());
-            fnv_mix(h, probability.to_bits());
+            h.write_u64(delay_s.to_bits());
+            h.write_u64(probability.to_bits());
         }
     }
 
@@ -1513,11 +1567,15 @@ mod tests {
             Escalation::new(hops[0].0, hops[0].1, hops[0].2)
                 .chain(Escalation::new(hops[1].0, hops[1].1, hops[1].2)),
         );
-        let mut h = FNV_OFFSET;
-        fnv_mix(&mut h, 10.0f64.to_bits());
+        let mut h = Fnv::new();
+        h.write_u64(10.0f64.to_bits());
         mix_kind(&mut h, &storm);
         legacy_mix_chain(&mut h, &hops);
-        assert_eq!(plan.fingerprint(), h, "single-chain digest drifted");
+        assert_eq!(
+            plan.fingerprint(),
+            h.finish(),
+            "single-chain digest drifted"
+        );
     }
 
     #[test]

@@ -44,7 +44,9 @@ fn matvec<T: Scalar>(a: &MatrixView<'_, T>, x: &[T]) -> Vec<f64> {
 }
 
 /// Evaluates the HPL scaled residual for a computed solution `x` of
-/// `A x = b`, where `a` is the **original** (unfactored) matrix.
+/// `A x = b`, where `a` is the **original** (unfactored) matrix. A
+/// non-finite value anywhere in `x`, in `A x − b` or in a norm fails the
+/// run with an infinite residual.
 ///
 /// # Panics
 /// Panics on shape mismatch.
@@ -60,13 +62,25 @@ pub fn hpl_residual<T: Scalar>(a: &MatrixView<'_, T>, x: &[T], b: &[T]) -> Resid
         };
     }
     let ax = matvec(a, x);
-    let raw = ax
-        .iter()
-        .zip(b)
-        .map(|(axi, bi)| (axi - bi.to_f64()).abs())
-        .fold(0.0, f64::max);
+    // `f64::max` drops NaNs and `∞ · 0` is NaN, so a garbage solution
+    // can fold to a clean-looking residual: finiteness is checked on
+    // the entries themselves, not on the folded norms.
+    let mut finite = x.iter().all(|xi| xi.to_f64().is_finite());
+    let mut raw = 0.0f64;
+    for (axi, bi) in ax.iter().zip(b) {
+        let r = (axi - bi.to_f64()).abs();
+        finite &= r.is_finite();
+        raw = raw.max(r);
+    }
     let denom =
         T::EPSILON.to_f64() * (mat_norm_inf(a) * vec_norm_inf(x) + vec_norm_inf(b)) * n as f64;
+    if !(finite && denom.is_finite()) {
+        return ResidualReport {
+            raw_residual: f64::INFINITY,
+            scaled_residual: f64::INFINITY,
+            passed: false,
+        };
+    }
     let scaled = if denom == 0.0 {
         if raw == 0.0 {
             0.0
@@ -123,6 +137,53 @@ mod tests {
         let report = hpl_residual(&a.view(), &x, &b);
         assert!(!report.passed);
         assert!(report.scaled_residual > HPL_THRESHOLD);
+    }
+
+    /// One poisoned solution per way a non-finite value used to slip
+    /// through: NaNs vanish in `fold(0.0, f64::max)`, and `±∞` entries
+    /// make `‖x‖∞ = ∞` so the scaled residual collapses to zero.
+    fn poisoned_solutions<T: Scalar>(x: &[T], nan: T, inf: T, neg_inf: T) -> Vec<Vec<T>> {
+        let with = |edits: &[(usize, T)]| {
+            let mut v = x.to_vec();
+            for &(i, e) in edits {
+                v[i] = e;
+            }
+            v
+        };
+        vec![
+            with(&[(3, nan)]),
+            vec![nan; x.len()],
+            with(&[(5, inf)]),
+            with(&[(2, inf), (9, neg_inf)]),
+        ]
+    }
+
+    fn assert_all_rejected<T: Scalar>(a: &Matrix<T>, b: &[T], poisoned: Vec<Vec<T>>) {
+        for x in poisoned {
+            let report = hpl_residual(&a.view(), &x, b);
+            assert!(!report.passed, "accepted a non-finite solution");
+            assert_eq!(report.scaled_residual, f64::INFINITY);
+        }
+    }
+
+    #[test]
+    fn non_finite_solutions_fail_f64() {
+        let a = MatGen::new(1).matrix_dd::<f64>(16);
+        let b = MatGen::new(2).rhs::<f64>(16);
+        let poisoned = poisoned_solutions(&b, f64::NAN, f64::INFINITY, f64::NEG_INFINITY);
+        assert_all_rejected(&a, &b, poisoned);
+        // A non-finite right-hand side or matrix is no better.
+        let mut bad_b = b.clone();
+        bad_b[0] = f64::NAN;
+        assert!(!hpl_residual(&a.view(), &b, &bad_b).passed);
+    }
+
+    #[test]
+    fn non_finite_solutions_fail_f32() {
+        let a = MatGen::new(1).matrix_dd::<f32>(16);
+        let b = MatGen::new(2).rhs::<f32>(16);
+        let poisoned = poisoned_solutions(&b, f32::NAN, f32::INFINITY, f32::NEG_INFINITY);
+        assert_all_rejected(&a, &b, poisoned);
     }
 
     #[test]

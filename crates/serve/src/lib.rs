@@ -58,58 +58,6 @@ pub use spec::{CampaignSpec, FaultSpec};
 pub use store::{Record, ResultStore, StoreReadError};
 pub use table::{Agg, Column, Filter, FilterOp, ResultTable};
 
-/// FNV-1a, the workspace's standard fingerprint hash (identical
-/// constants to the `phi-faults` replay fingerprints and the `phi-tune`
-/// cache keys).
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv {
-    /// The offset basis.
-    pub fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    /// Folds raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    /// Folds a `u64` as its little-endian bytes.
-    pub fn write_u64(&mut self, x: u64) {
-        self.write(&x.to_le_bytes());
-    }
-
-    /// The digest.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // FNV-1a("") = offset basis; FNV-1a("a") = 0xaf63dc4c8601ec8c.
-        assert_eq!(Fnv::new().finish(), 0xcbf29ce484222325);
-        let mut h = Fnv::new();
-        h.write(b"a");
-        assert_eq!(h.finish(), 0xaf63dc4c8601ec8c);
-        let mut u = Fnv::new();
-        u.write_u64(0x61); // 'a' then seven zero bytes
-        let mut b = Fnv::new();
-        b.write(&[0x61, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(u.finish(), b.finish());
-    }
-}
+/// FNV-1a, the workspace's one fingerprint hash (spec keys and store
+/// trailers here; defined once in `phi-faults`).
+pub use phi_faults::Fnv;

@@ -15,11 +15,11 @@
 
 use crate::search::{ScoredCandidate, TuneOutcome, TunedConfig};
 use crate::space::{Candidate, MachineConfig, TuneSpace};
-use crate::Fnv;
 use phi_fabric::BcastScheme;
 use phi_hpl::hybrid::{Lookahead, WorkDivision};
 use phi_hpl::GigaflopsReport;
 use phi_serve::store::{serialize_record, Record, ResultStore};
+use phi_serve::Fnv;
 use std::io;
 use std::path::{Path, PathBuf};
 

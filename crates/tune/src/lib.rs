@@ -40,37 +40,13 @@ pub mod space;
 pub mod workload;
 
 pub use cache::{CacheReadError, TuneCache};
-pub use search::{tune, tune_cached, ScoredCandidate, TuneOptions, TuneOutcome, TunedConfig};
+pub use search::{
+    striped_map, tune, tune_cached, ScoredCandidate, TuneOptions, TuneOutcome, TunedConfig,
+};
 pub use space::{Candidate, MachineConfig, TuneSpace};
 pub use workload::{
     tune_spmv_blocking, tune_stencil_decomposition, SpmvBlockingChoice, StencilDecompChoice,
 };
-
-/// FNV-1a, the workspace's standard fingerprint hash (identical
-/// constants to the `phi-faults` replay fingerprints).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    pub(crate) fn write_u64(&mut self, x: u64) {
-        self.write(&x.to_le_bytes());
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// The workspace's standard LCG (same multiplier/increment as the
 /// `phi-faults` plan generator): deterministic, seedable, no external
@@ -102,15 +78,6 @@ impl TuneRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // FNV-1a("") = offset basis; FNV-1a("a") = 0xaf63dc4c8601ec8c.
-        assert_eq!(Fnv::new().finish(), 0xcbf29ce484222325);
-        let mut h = Fnv::new();
-        h.write(b"a");
-        assert_eq!(h.finish(), 0xaf63dc4c8601ec8c);
-    }
 
     #[test]
     fn rng_is_deterministic_and_seed_sensitive() {

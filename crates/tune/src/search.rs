@@ -165,40 +165,40 @@ fn eval_one(c: &Candidate, machine: &MachineConfig, fid: Fidelity) -> GigaflopsR
     }
 }
 
-/// Parallel evaluation with a deterministic by-index merge: thread `t`
-/// takes candidates `t, t + T, t + 2T, …` (striping balances the
-/// NB-driven cost gradient), and results land in their input slots, so
-/// the output is independent of `T` and of thread scheduling.
-fn eval_parallel(
-    cands: &[Candidate],
-    machine: &MachineConfig,
-    threads: usize,
-    fid: Fidelity,
-) -> Vec<GigaflopsReport> {
-    if cands.is_empty() {
+/// Thread-striped, deterministically merged map over `0..count`:
+/// thread `t` takes indices `t, t + T, t + 2T, …` (striping balances a
+/// cost gradient along the index) and results land in their input
+/// slots, so the output is independent of `T` and of thread scheduling.
+/// `threads == 0` means auto: available parallelism, capped at 8.
+pub fn striped_map<R, F>(count: usize, threads: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    if count == 0 {
         return Vec::new();
     }
     let auto = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(8);
-    let nthreads = if threads == 0 { auto } else { threads }
-        .min(cands.len())
-        .max(1);
-    let mut out: Vec<Option<GigaflopsReport>> = vec![None; cands.len()];
+    let nthreads = if threads == 0 { auto } else { threads }.min(count).max(1);
+    let mut out: Vec<Option<R>> = Vec::with_capacity(count);
+    out.resize_with(count, || None);
+    let f = &f;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..nthreads)
             .map(|t| {
                 s.spawn(move || {
-                    (t..cands.len())
+                    (t..count)
                         .step_by(nthreads)
-                        .map(|i| (i, eval_one(&cands[i], machine, fid)))
+                        .map(|i| (i, f(i)))
                         .collect::<Vec<_>>()
                 })
             })
             .collect();
         for h in handles {
-            for (i, r) in h.join().expect("tuner worker panicked") {
+            for (i, r) in h.join().expect("striped_map worker panicked") {
                 out[i] = Some(r);
             }
         }
@@ -206,6 +206,16 @@ fn eval_parallel(
     out.into_iter()
         .map(|o| o.expect("slot evaluated"))
         .collect()
+}
+
+/// Parallel candidate evaluation, merged by index.
+fn eval_parallel(
+    cands: &[Candidate],
+    machine: &MachineConfig,
+    threads: usize,
+    fid: Fidelity,
+) -> Vec<GigaflopsReport> {
+    striped_map(cands.len(), threads, |i| eval_one(&cands[i], machine, fid))
 }
 
 /// Coordinate-descent proposals around a finalist: NB half/quarter

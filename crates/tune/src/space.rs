@@ -1,9 +1,9 @@
 //! The configuration space the tuner searches, and the machine it
 //! searches it for.
 
-use crate::Fnv;
 use phi_fabric::{BcastScheme, ProcessGrid};
 use phi_hpl::hybrid::{HybridConfig, Lookahead, WorkDivision};
+use phi_serve::Fnv;
 
 /// The machine (and problem) a tuning run targets. The underlying chip,
 /// host, PCIe and network models are the workspace's calibrated paper
