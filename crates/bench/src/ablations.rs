@@ -21,7 +21,7 @@ use phi_matrix::HplRng;
 
 /// One row of the super-stage ablation.
 #[derive(Clone, Copy, Debug)]
-pub struct SuperstageRow {
+struct SuperstageRow {
     /// Problem size.
     pub n: usize,
     /// GFLOPS with adaptive regrouping (the paper's scheme).
@@ -33,7 +33,7 @@ pub struct SuperstageRow {
 }
 
 /// Runs the super-stage ablation over a size sweep.
-pub fn ablation_superstage(sizes: &[usize]) -> Vec<SuperstageRow> {
+fn ablation_superstage(sizes: &[usize]) -> Vec<SuperstageRow> {
     sizes
         .iter()
         .map(|&n| {
@@ -71,7 +71,7 @@ pub fn superstage_render() -> String {
 
 /// One row of the work-stealing ablation.
 #[derive(Clone, Copy, Debug)]
-pub struct StealingRow {
+struct StealingRow {
     /// Assumed card share of a static split.
     pub card_fraction: f64,
     /// Static-split GFLOPS.
@@ -81,7 +81,7 @@ pub struct StealingRow {
 }
 
 /// Work stealing vs static splits around the "ideal" fraction.
-pub fn ablation_stealing(m: usize, host_cores: f64) -> Vec<StealingRow> {
+fn ablation_stealing(m: usize, host_cores: f64) -> Vec<StealingRow> {
     let model = OffloadModel::default();
     let grid = (6, 6);
     let steal = model.simulate_with_grid(m, m, 1, host_cores, grid);
@@ -113,7 +113,7 @@ pub fn stealing_render() -> String {
 
 /// One row of the tile-size ablation.
 #[derive(Clone, Copy, Debug)]
-pub struct TileRow {
+struct TileRow {
     /// Matrix size.
     pub n: usize,
     /// Fixed coarse grid (2×2) GFLOPS.
@@ -127,7 +127,7 @@ pub struct TileRow {
 }
 
 /// Fixed tile grids vs run-time selection across sizes.
-pub fn ablation_tiles(sizes: &[usize]) -> Vec<TileRow> {
+fn ablation_tiles(sizes: &[usize]) -> Vec<TileRow> {
     let model = OffloadModel::default();
     sizes
         .iter()
@@ -163,7 +163,7 @@ pub fn tiles_render() -> String {
 
 /// One row of the prefetch ablation.
 #[derive(Clone, Copy, Debug)]
-pub struct PrefetchRow {
+struct PrefetchRow {
     /// Fill defer threshold (Fig. 1c "threshold cycles").
     pub defer_threshold: u32,
     /// Kernel 1 steady efficiency.
@@ -173,7 +173,7 @@ pub struct PrefetchRow {
 }
 
 /// Sweeps the prefetch-fill defer threshold on the emulator.
-pub fn ablation_prefetch(thresholds: &[u32]) -> Vec<PrefetchRow> {
+fn ablation_prefetch(thresholds: &[u32]) -> Vec<PrefetchRow> {
     let depth = 300;
     let run = |kind: MicroKernelKind, thr: u32| {
         let mr = kernels::kernel_mr(kind);

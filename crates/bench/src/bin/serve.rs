@@ -3,7 +3,7 @@
 //! service and reports throughput, hit rate, p99 latency and the
 //! per-phase determinism digests, ending with a PASS/FAIL verdict over
 //! the service invariants (single-flight dedup, zero warm executions,
-//! byte-identical hit path, ≥10× warm speedup from a cold start).
+//! byte-identical hit path).
 //!
 //! ```text
 //! serve [--requests N] [--space N] [--workers T] [--clients T] \

@@ -225,7 +225,7 @@ pub fn fig4_series(sizes: &[usize]) -> Vec<Fig4Point> {
 }
 
 /// Default Fig. 4 sizes: 1K..28K.
-pub fn fig4_default_sizes() -> Vec<usize> {
+fn fig4_default_sizes() -> Vec<usize> {
     (1..=28).map(|i| i * 1000).collect()
 }
 
@@ -279,7 +279,7 @@ pub fn fig6_series(sizes: &[usize]) -> Vec<Fig6Point> {
 }
 
 /// Default Fig. 6 sizes (1K to 30K, the 8 GB limit).
-pub fn fig6_default_sizes() -> Vec<usize> {
+fn fig6_default_sizes() -> Vec<usize> {
     vec![
         1024, 2048, 4096, 6144, 8192, 10240, 12288, 16384, 20480, 24576, 28672, 30720,
     ]
@@ -449,7 +449,7 @@ pub fn fig11_series(sizes: &[usize]) -> Vec<Fig11Point> {
 }
 
 /// Default Fig. 11 sizes.
-pub fn fig11_default_sizes() -> Vec<usize> {
+fn fig11_default_sizes() -> Vec<usize> {
     vec![
         10_000, 20_000, 30_000, 40_000, 50_000, 60_000, 70_000, 82_000,
     ]

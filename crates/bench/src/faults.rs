@@ -16,7 +16,7 @@ use std::fmt::Write;
 
 /// One campaign scenario's degraded-vs-healthy outcome.
 #[derive(Clone, Debug)]
-pub struct CampaignRow {
+pub(crate) struct CampaignRow {
     /// Scenario label.
     pub scenario: String,
     /// Scheduled fault events.
@@ -44,13 +44,15 @@ pub struct CampaignRow {
     /// Fractional slowdown versus the healthy run, from
     /// [`phi_hpl::FaultSummary::overhead_fraction`].
     pub overhead: f64,
-    /// Replay-identity fingerprint of the whole run.
+    /// Replay-identity fingerprint of the whole run (the determinism
+    /// tests' witness; the rendered table does not print it).
+    #[cfg(test)]
     pub fingerprint: u64,
 }
 
 impl CampaignRow {
     /// The fallback grid as `pxq`, or `-` when no host died.
-    pub fn fallback_label(&self) -> String {
+    fn fallback_label(&self) -> String {
         match self.fallback {
             Some((p, q)) => format!("{p}x{q}"),
             None => "-".to_string(),
@@ -93,6 +95,7 @@ fn run(cfg: &HybridConfig, label: &str, plan: &FaultPlan, policy: &FtPolicy) -> 
         checkpoint_s: f.checkpoint_s,
         recovery_s: f.recovery_s,
         overhead: f.overhead_fraction(out.result.report.time_s),
+        #[cfg(test)]
         fingerprint: out.run_fingerprint(),
     }
 }
@@ -100,7 +103,7 @@ fn run(cfg: &HybridConfig, label: &str, plan: &FaultPlan, policy: &FtPolicy) -> 
 /// Runs the canonical scenario set on the paper's single-node hybrid
 /// configuration, plus three seeded random campaigns derived from
 /// `seed`.
-pub fn fault_campaign_rows(seed: u64) -> Vec<CampaignRow> {
+fn fault_campaign_rows(seed: u64) -> Vec<CampaignRow> {
     let cfg = paper_node();
     let healthy = simulate_cluster(&cfg, false).report.time_s;
     let none = FtPolicy::none();
@@ -166,7 +169,7 @@ pub fn fault_campaign_rows(seed: u64) -> Vec<CampaignRow> {
 /// storm → card → host chain, and two seeded cluster campaigns derived
 /// from `seed`. Host-death rows recover under `remap` except the
 /// explicitly-wholesale row.
-pub fn fault_campaign_cluster_rows(seed: u64, remap: RemapStrategy) -> Vec<CampaignRow> {
+pub(crate) fn fault_campaign_cluster_rows(seed: u64, remap: RemapStrategy) -> Vec<CampaignRow> {
     let cfg = paper_cluster();
     let healthy = simulate_cluster(&cfg, false).report.time_s;
     let none = FtPolicy::none().with_remap(remap);

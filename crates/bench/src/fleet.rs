@@ -29,7 +29,7 @@ use phi_faults::{CampaignScope, FaultPlan, Fnv};
 use phi_hpl::hybrid::{simulate_cluster, HybridConfig};
 use phi_hpl::native::{simulate_native_cluster, simulate_native_cluster_ft, NativeClusterConfig};
 use phi_hpl::{simulate_cluster_faulty, FtPolicy};
-use phi_serve::store::{Record, ResultStore};
+use phi_serve::store::{field, hex_f64, Record, ResultStore};
 use phi_tune::striped_map;
 use std::fmt::Write;
 
@@ -219,14 +219,6 @@ impl Record for SeedOutcome {
     }
 
     fn parse_fields(fields: &str) -> Option<Self> {
-        fn field<'a>(tokens: &'a [&str], name: &str) -> Option<&'a str> {
-            tokens
-                .iter()
-                .find_map(|t| t.strip_prefix(name)?.strip_prefix('='))
-        }
-        fn bits(s: &str) -> Option<f64> {
-            Some(f64::from_bits(u64::from_str_radix(s, 16).ok()?))
-        }
         let mut lines = fields.lines();
         let s: Vec<&str> = lines.next()?.strip_prefix("seed ")?.split(' ').collect();
         let seed = u64::from_str_radix(s.first()?, 16).ok()?;
@@ -239,10 +231,10 @@ impl Record for SeedOutcome {
             seed,
             hosts_lost: field(&s, "hosts")?.parse().ok()?,
             cards_lost: field(&s, "cards")?.parse().ok()?,
-            patch_time_s: bits(field(&t, "pt")?)?,
-            patch_gflops: bits(field(&t, "pg")?)?,
-            whsl_time_s: bits(field(&t, "wt")?)?,
-            native_time_s: bits(field(&t, "nt")?)?,
+            patch_time_s: hex_f64(field(&t, "pt")?)?,
+            patch_gflops: hex_f64(field(&t, "pg")?)?,
+            whsl_time_s: hex_f64(field(&t, "wt")?)?,
+            native_time_s: hex_f64(field(&t, "nt")?)?,
             fingerprint: fp,
         })
     }
@@ -351,7 +343,7 @@ pub fn run_fleet_stored(
 
 /// Nearest-rank percentile (`p` in `[0, 100]`) over a `total_cmp`-sorted
 /// copy of `xs`. Empty input returns `NaN`.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
@@ -435,7 +427,7 @@ pub fn crossover_frontier(fleet: &FleetResult) -> Vec<FrontierRow> {
 /// The smallest death count at which the wholesale reshape's mean
 /// completion time undercuts the patch remap's — `None` when patch
 /// wins everywhere the fleet sampled.
-pub fn crossover_point(frontier: &[FrontierRow]) -> Option<usize> {
+fn crossover_point(frontier: &[FrontierRow]) -> Option<usize> {
     frontier
         .iter()
         .find(|r| r.hosts_lost > 0 && r.whsl_mean_s < r.patch_mean_s)
@@ -493,7 +485,7 @@ pub fn budget_sweep(fleet: &FleetResult) -> Vec<BudgetRow> {
 }
 
 /// The budget maximizing expected throughput (first maximum wins ties).
-pub fn best_budget(sweep: &[BudgetRow]) -> Option<usize> {
+fn best_budget(sweep: &[BudgetRow]) -> Option<usize> {
     sweep
         .iter()
         .max_by(|a, b| {

@@ -2,14 +2,14 @@
 
 /// A simple column-aligned text table.
 #[derive(Clone, Debug, Default)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl TextTable {
     /// Starts a table with the given column headers.
-    pub fn new<S: Into<String>>(header: impl IntoIterator<Item = S>) -> Self {
+    pub(crate) fn new<S: Into<String>>(header: impl IntoIterator<Item = S>) -> Self {
         Self {
             header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -17,25 +17,15 @@ impl TextTable {
     }
 
     /// Appends one row; the cell count must match the header.
-    pub fn row<S: Into<String>>(&mut self, cells: impl IntoIterator<Item = S>) -> &mut Self {
+    pub(crate) fn row<S: Into<String>>(&mut self, cells: impl IntoIterator<Item = S>) -> &mut Self {
         let row: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(row.len(), self.header.len(), "ragged table row");
         self.rows.push(row);
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with aligned columns and a separator under the header.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -79,7 +69,7 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("eff"));
         assert!(lines[3].contains("89.4"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

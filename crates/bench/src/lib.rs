@@ -8,12 +8,13 @@
 //! regenerates everything.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ablations;
-pub mod experiments;
-pub mod faults;
+mod experiments;
+mod faults;
 pub mod fleet;
-pub mod format;
+mod format;
 pub mod lintgate;
 pub mod perfgate;
 pub mod schedlint;
@@ -23,15 +24,9 @@ pub mod workloads;
 
 pub use experiments::*;
 pub use faults::{
-    experiments_fault_section_md, fault_campaign_cluster_render, fault_campaign_cluster_rows,
-    fault_campaign_render, fault_campaign_rows, paper_cluster, CampaignRow,
+    experiments_fault_section_md, fault_campaign_cluster_render, fault_campaign_render,
+    paper_cluster,
 };
-pub use fleet::{
-    availability_curve, best_budget, budget_sweep, completion_percentiles, crossover_frontier,
-    crossover_point, fleet_render, fleet_render_stored, run_fleet, run_fleet_stored, FleetOptions,
-    FleetResult, FleetStoreStats, SeedOutcome,
-};
-pub use format::TextTable;
-pub use phi_hpl::native::NativeScheme;
-pub use serve::{serve_load, serve_load_render, ServeLoadOptions, ServeLoadResult};
-pub use workloads::{lab_render, lab_rows, workload_diff, LabRow};
+pub use fleet::{fleet_render, FleetOptions};
+pub(crate) use format::TextTable;
+use phi_hpl::native::NativeScheme;

@@ -6,7 +6,7 @@
 //!
 //! 1. both paper kernels analyze with **zero errors**;
 //! 2. the analyzer's static cycle lower bound agrees with the
-//!    cycle-accurate emulator within [`TOLERANCE`] for both kernels;
+//!    cycle-accurate emulator within `TOLERANCE` for both kernels;
 //! 3. every diagnostic kind fires on its deliberately-broken fixture.
 
 use crate::format::TextTable;
@@ -18,7 +18,7 @@ use phi_matrix::HplRng;
 
 /// Maximum allowed relative gap between the static cycle bound and the
 /// emulator's steady-state measurement.
-pub const TOLERANCE: f64 = 0.05;
+const TOLERANCE: f64 = 0.05;
 /// Inner-loop depth used for the emulated steady-state measurement.
 const DEPTH: usize = 300;
 
@@ -45,12 +45,12 @@ pub struct KernelGateRow {
 
 impl KernelGateRow {
     /// Relative gap between prediction and measurement.
-    pub fn rel_err(&self) -> f64 {
+    fn rel_err(&self) -> f64 {
         (self.measured_cycles - self.static_cycles).abs() / self.measured_cycles
     }
 
     /// True when this kernel satisfies the gate.
-    pub fn passed(&self) -> bool {
+    fn passed(&self) -> bool {
         self.errors == 0 && self.rel_err() < TOLERANCE
     }
 }

@@ -25,12 +25,12 @@ use std::path::{Path, PathBuf};
 
 /// Seed the gate's fault campaign runs under — the fixture seed, so the
 /// goldens, the docs and the baseline all describe the same campaign.
-pub const GATE_SEED: u64 = 0xFA_0175;
+pub(crate) const GATE_SEED: u64 = 0xFA_0175;
 
 /// Relative tolerance for every metric: a metric regresses (or
 /// improves) past the gate when `|current / baseline - 1|` exceeds
 /// this.
-pub const GATE_TOLERANCE: f64 = 0.01;
+const GATE_TOLERANCE: f64 = 0.01;
 
 /// A failure in the perf gate, carried as a value so the binary exits
 /// with a message instead of a panic backtrace.
@@ -89,7 +89,7 @@ fn io_ctx(context: impl Into<String>) -> impl FnOnce(io::Error) -> PerfGateError
 
 /// One gated metric: a stable name and its current value.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Metric {
+struct Metric {
     /// Stable snake_case key, used to match against the baseline.
     pub name: &'static str,
     /// Current value on this tree.
@@ -199,7 +199,7 @@ fn parallel_des_events_per_s() -> f64 {
 /// come from the Table III cluster campaign at [`GATE_SEED`]; the fleet
 /// tail figure from the 160-seed reference fleet; the
 /// tune figure from the 100-node smoke tune (cached under `cache_dir`).
-pub fn collect_metrics(cache_dir: &Path) -> Result<Vec<Metric>, PerfGateError> {
+fn collect_metrics(cache_dir: &Path) -> Result<Vec<Metric>, PerfGateError> {
     let rows = fault_campaign_cluster_rows(GATE_SEED, RemapStrategy::Patch);
     // Row layout is pinned by `cluster_table_covers_host_death_and_recovers`:
     // 0 healthy, 2 host death (patch, checkpointed), 4 host death (wholesale).
@@ -293,7 +293,7 @@ pub fn collect_metrics(cache_dir: &Path) -> Result<Vec<Metric>, PerfGateError> {
 
 /// Renders the metrics as the `BENCH_baseline.json` artifact: one
 /// metric per line so the parser (and `git diff`) stay line-oriented.
-pub fn baseline_json(metrics: &[Metric]) -> String {
+fn baseline_json(metrics: &[Metric]) -> String {
     let mut s = String::from("{\n  \"schema\": \"phi-bench/perfgate/v1\",\n  \"metrics\": {\n");
     for (i, m) in metrics.iter().enumerate() {
         s.push_str(&format!(
@@ -310,7 +310,7 @@ pub fn baseline_json(metrics: &[Metric]) -> String {
 /// Parses a baseline produced by [`baseline_json`]. Line-based on
 /// purpose — the workspace carries no JSON dependency, and the emitter
 /// guarantees one `"name": value` pair per line inside `"metrics"`.
-pub fn parse_baseline(text: &str) -> Result<Vec<(String, f64)>, PerfGateError> {
+fn parse_baseline(text: &str) -> Result<Vec<(String, f64)>, PerfGateError> {
     let mut out = Vec::new();
     let mut in_metrics = false;
     for line in text.lines() {
@@ -341,7 +341,7 @@ pub fn parse_baseline(text: &str) -> Result<Vec<(String, f64)>, PerfGateError> {
 
 /// The comparison of one metric against its baseline entry.
 #[derive(Clone, Debug)]
-pub struct GateLine {
+struct GateLine {
     /// Metric name.
     pub name: String,
     /// Value recorded in the baseline, if the baseline has the metric.
@@ -356,7 +356,7 @@ pub struct GateLine {
 
 /// The full gate verdict: one line per metric, most-regressed first.
 #[derive(Clone, Debug)]
-pub struct GateReport {
+struct GateReport {
     /// Per-metric comparisons.
     pub lines: Vec<GateLine>,
 }
@@ -364,12 +364,12 @@ pub struct GateReport {
 impl GateReport {
     /// True iff every metric is within tolerance and neither side has
     /// metrics the other lacks.
-    pub fn pass(&self) -> bool {
+    fn pass(&self) -> bool {
         self.lines.iter().all(|l| l.pass)
     }
 
     /// Renders the delta table the binary prints.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut t = TextTable::new(["metric", "baseline", "current", "delta", "gate"]);
         for l in &self.lines {
             let f = |v: Option<f64>| v.map_or_else(|| "missing".to_string(), |x| format!("{x:.4}"));
@@ -389,7 +389,7 @@ impl GateReport {
 /// Compares current metrics against the baseline at `tolerance`.
 /// A metric present on only one side fails the gate — a renamed or
 /// dropped metric must come with a regenerated baseline.
-pub fn compare(baseline: &[(String, f64)], current: &[Metric], tolerance: f64) -> GateReport {
+fn compare(baseline: &[(String, f64)], current: &[Metric], tolerance: f64) -> GateReport {
     let mut lines = Vec::new();
     for m in current {
         let base = baseline.iter().find(|(n, _)| n == m.name).map(|&(_, v)| v);

@@ -277,7 +277,7 @@ pub fn run(root: &Path) -> std::io::Result<SchedLintGate> {
 /// `schedule_lint_throughput` perf-gate metric. A pure deterministic
 /// count: it moves only when the sweep covers more (or fewer) regimes
 /// and schedules, never with wall clock or machine.
-pub fn reference_sweep_ops() -> f64 {
+pub(crate) fn reference_sweep_ops() -> f64 {
     reference_shapes()
         .iter()
         .map(|(_, shape)| verify_channels(shape).1)
@@ -291,7 +291,7 @@ impl SchedLintGate {
     }
 
     /// Total operations proved across all regimes.
-    pub fn ops_verified(&self) -> usize {
+    fn ops_verified(&self) -> usize {
         self.shapes.iter().map(|s| s.ops).sum()
     }
 

@@ -98,7 +98,7 @@ fn json_f64(x: f64) -> String {
 /// Renders the runs as the `BENCH_tune.json` artifact: per machine the
 /// config fingerprint, candidate count, best and baseline GFLOPS and
 /// wall time.
-pub fn bench_json(runs: &[TuneRun]) -> String {
+fn bench_json(runs: &[TuneRun]) -> String {
     let mut s = String::from("{\n  \"schema\": \"phi-bench/tune/v1\",\n  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {
         let o = &r.outcome;

@@ -10,7 +10,7 @@
 //!   workload-conformance CI gate (differential equivalence on both new
 //!   kernels, zero lint diagnostics on the shipped listings, rank-level
 //!   halo-volume conservation) with an `--inject` must-fail self-test;
-//! * `perfgate` takes [`spmv_gflops`] and [`stencil_halo_exchange_s`]
+//! * `perfgate` takes `spmv_gflops` and `stencil_halo_exchange_s`
 //!   as headline metrics against `BENCH_baseline.json`.
 //!
 //! Everything is deterministic model output: same tree, same bytes.
@@ -36,7 +36,7 @@ const LAB_SEED: u64 = crate::perfgate::GATE_SEED;
 
 /// The lab's reference sparse matrix: a seeded band, uniform enough
 /// that padding overhead is 1 (every cycle is stream traffic).
-pub fn reference_csr() -> Csr {
+fn reference_csr() -> Csr {
     banded_csr(SPMV_REF_ROWS, SPMV_REF_BAND, LAB_SEED)
 }
 
@@ -47,7 +47,7 @@ pub fn reference_star() -> StarStencil {
 
 /// The lab's reference decomposition: a 96³ box over a 2 × 2 × 1 grid —
 /// two decomposed axes, so every sweep ships face halos.
-pub fn reference_halo_spec() -> HaloSpec {
+fn reference_halo_spec() -> HaloSpec {
     HaloSpec::new((96, 96, 96), (2, 2, 1), 1)
 }
 
@@ -74,7 +74,7 @@ fn reference_stencil_cluster() -> StencilClusterReport {
 /// reference SpMV at the KNC clock. Deterministic cycle arithmetic — it
 /// moves only when the SpMV listing, the blocking or the memory system
 /// model changes.
-pub fn spmv_gflops() -> f64 {
+pub(crate) fn spmv_gflops() -> f64 {
     let a = reference_csr();
     let x = reference_x(a.cols);
     let rep = run_spmv(&a, &x, PipelineConfig::default());
@@ -84,7 +84,7 @@ pub fn spmv_gflops() -> f64 {
 /// Perfgate metric: halo-exchange seconds exposed on the critical path
 /// of the reference 8-sweep stencil cluster DES. Moves only when the
 /// halo pattern, the fabric constants or the sweep loop change.
-pub fn stencil_halo_exchange_s() -> f64 {
+pub(crate) fn stencil_halo_exchange_s() -> f64 {
     reference_stencil_cluster().halo_s
 }
 

@@ -174,17 +174,6 @@ pub fn gemm_with<T: Scalar>(
     }
 }
 
-/// `C := alpha * A * B + beta * C` with default blocking.
-pub fn gemm<T: Scalar>(
-    alpha: T,
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
-    beta: T,
-    c: &mut MatrixViewMut<'_, T>,
-) {
-    gemm_with(alpha, a, b, beta, c, &BlockSizes::default());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

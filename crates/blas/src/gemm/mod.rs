@@ -1,27 +1,27 @@
 //! General matrix-matrix multiplication, structured as in Section III of
 //! the paper.
 //!
-//! The public entry point [`gemm`] computes `C := alpha * A * B + beta * C`
+//! The public entry point [`gemm_with`] computes `C := alpha * A * B + beta * C`
 //! for row-major operands by decomposing the product into a sequence of
 //! **rank-k outer products** `C = alpha * Σ_i A_i B_i + beta * C`, packing
 //! each `A_i` into `MR × k` column-major tiles and each `B_i` into `k × NR`
 //! row-major tiles (the *Knights Corner-friendly* format of Fig. 3), and
-//! driving a register-blocked [`micro`] kernel over the tile grid.
+//! driving a register-blocked `micro` kernel over the tile grid.
 //!
 //! The tile shape is configurable through [`BlockSizes`]; the paper's
 //! native configuration (`MR = 30`, `NR = 8`, `k = 300`) is available as
 //! [`BlockSizes::knc`], and a host-friendly shape as the default. The same
 //! code instantiates DGEMM (`f64`) and SGEMM (`f32`).
 
-pub mod blocked;
-pub mod micro;
-pub mod naive;
-pub mod pack;
+mod blocked;
+mod micro;
+mod naive;
+mod pack;
 
-pub use blocked::{gemm, gemm_with, BlockSizes};
+pub use blocked::{gemm_with, BlockSizes};
 pub use micro::{micro_kernel_into, MicroKernelKind};
 pub use naive::gemm_naive;
-pub use pack::{pack_a, pack_b, PackedA, PackedB};
+pub use pack::{pack_a, pack_b};
 
 #[cfg(test)]
 mod tests {
@@ -84,7 +84,8 @@ mod tests {
         let b = Matrix::<f64>::zeros(0, 4);
         let mut c = MatGen::new(9).matrix::<f64>(4, 4);
         let expect = Matrix::from_fn(4, 4, |i, j| 3.0 * c[(i, j)]);
-        gemm(1.0, &a.view(), &b.view(), 3.0, &mut c.view_mut());
+        let bs = BlockSizes::default();
+        gemm_with(1.0, &a.view(), &b.view(), 3.0, &mut c.view_mut(), &bs);
         assert!(c.approx_eq(&expect, 0.0));
     }
 
@@ -94,7 +95,8 @@ mod tests {
         let b = MatGen::new(5).matrix::<f32>(14, 11);
         let mut c = MatGen::new(6).matrix::<f32>(20, 11);
         let mut c_ref = c.clone();
-        gemm(1.5, &a.view(), &b.view(), -1.0, &mut c.view_mut());
+        let bs = BlockSizes::default();
+        gemm_with(1.5, &a.view(), &b.view(), -1.0, &mut c.view_mut(), &bs);
         gemm_naive(1.5, &a.view(), &b.view(), -1.0, &mut c_ref.view_mut());
         assert!(c.max_abs_diff(&c_ref) < 1e-4);
     }

@@ -25,18 +25,6 @@ pub struct PackedA<T: Scalar> {
 }
 
 impl<T: Scalar> PackedA<T> {
-    /// Register-block height (rows per tile).
-    pub fn mr(&self) -> usize {
-        self.mr
-    }
-    /// Original (unpadded) number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-    /// Inner (k) dimension.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
     /// Number of row tiles.
     pub fn tile_count(&self) -> usize {
         self.rows.div_ceil(self.mr)
@@ -50,14 +38,6 @@ impl<T: Scalar> PackedA<T> {
     pub fn tile_rows(&self, t: usize) -> usize {
         (self.rows - t * self.mr).min(self.mr)
     }
-    /// Total packed footprint in elements (including padding).
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-    /// True when no tiles are stored.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
 }
 
 /// `B` packed as `ceil(N/NR)` tiles of `depth × NR`, each row-major.
@@ -70,18 +50,6 @@ pub struct PackedB<T: Scalar> {
 }
 
 impl<T: Scalar> PackedB<T> {
-    /// Register-block width (columns per tile).
-    pub fn nr(&self) -> usize {
-        self.nr
-    }
-    /// Original (unpadded) number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-    /// Inner (k) dimension.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
     /// Number of column tiles.
     pub fn tile_count(&self) -> usize {
         self.cols.div_ceil(self.nr)
@@ -94,14 +62,6 @@ impl<T: Scalar> PackedB<T> {
     /// Columns covered by tile `u` before padding.
     pub fn tile_cols(&self, u: usize) -> usize {
         (self.cols - u * self.nr).min(self.nr)
-    }
-    /// Total packed footprint in elements (including padding).
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-    /// True when no tiles are stored.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 }
 
@@ -154,13 +114,6 @@ pub fn pack_b<T: Scalar>(b: &MatrixView<'_, T>, nr: usize) -> PackedB<T> {
     }
 }
 
-/// Number of elements moved when packing an `m × k` A-block and a `k × n`
-/// B-block — the traffic term of the paper's packing-overhead analysis
-/// (quadratic, amortized by the cubic compute).
-pub fn pack_traffic_elems(m: usize, n: usize, k: usize) -> usize {
-    m * k + k * n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,7 +161,7 @@ mod tests {
         let a = MatGen::new(1).matrix::<f64>(31, 13);
         let pa = pack_a(&a.view(), 30);
         for t in 0..pa.tile_count() {
-            for p in 0..pa.depth() {
+            for p in 0..pa.depth {
                 for r in 0..pa.tile_rows(t) {
                     assert_eq!(pa.tile(t)[p * 30 + r], a[(t * 30 + r, p)]);
                 }
@@ -217,16 +170,11 @@ mod tests {
         let b = MatGen::new(2).matrix::<f64>(13, 19);
         let pb = pack_b(&b.view(), 8);
         for u in 0..pb.tile_count() {
-            for p in 0..pb.depth() {
+            for p in 0..pb.depth {
                 for c in 0..pb.tile_cols(u) {
                     assert_eq!(pb.tile(u)[p * 8 + c], b[(p, u * 8 + c)]);
                 }
             }
         }
-    }
-
-    #[test]
-    fn traffic_formula() {
-        assert_eq!(pack_traffic_elems(120, 32, 240), 120 * 240 + 240 * 32);
     }
 }

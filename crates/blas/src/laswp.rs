@@ -30,7 +30,7 @@ pub fn laswp_inverse<T: Scalar>(a: &mut MatrixViewMut<'_, T>, ipiv: &[usize]) {
 }
 
 /// Applies `laswp_forward` to a vector (the right-hand side `b`).
-pub fn laswp_vec<T: Scalar>(x: &mut [T], ipiv: &[usize]) {
+pub(crate) fn laswp_vec<T: Scalar>(x: &mut [T], ipiv: &[usize]) {
     for (i, &p) in ipiv.iter().enumerate() {
         assert!(p < x.len(), "pivot {p} out of bounds ({} rows)", x.len());
         x.swap(i, p);

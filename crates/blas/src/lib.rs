@@ -3,10 +3,10 @@
 //! This crate implements, in portable Rust, every BLAS/LAPACK routine the
 //! paper's Linpack flavours call:
 //!
-//! * [`level1`] — `idamax`, `dscal`, `daxpy`, `dswap`, `ddot`, `dcopy`.
-//! * [`level2`] — `dger` (the rank-1 update inside unblocked panel
-//!   factorization), `dgemv`, `dtrsv`.
-//! * [`gemm`](mod@gemm) — the paper's DGEMM structure (Section III): the general
+//! * `level1` — `idamax` (the pivot search).
+//! * `level2` — `dger` (the rank-1 update inside unblocked panel
+//!   factorization).
+//! * [`gemm`] — the paper's DGEMM structure (Section III): the general
 //!   product decomposed into a sequence of rank-k outer products, operands
 //!   packed into the *Knights Corner-friendly* tile layout of Fig. 3
 //!   (`MR × k` column-major tiles of `A`, `k × NR` row-major tiles of `B`),
@@ -18,11 +18,6 @@
 //! * [`lu`] — unblocked (`getf2`) and blocked right-looking (`getrf`)
 //!   partial-pivot LU, plus the full `Ax = b` solve path used by the
 //!   numeric backends.
-//! * [`recursive`] — GEMM-rich recursive panel factorization (how
-//!   production HPL panels are actually factored) and the multi-RHS
-//!   `getrs` solve.
-//! * [`colmajor`] — zero-copy column-major adapters via the paper's
-//!   footnote-3 transpose identity.
 //!
 //! Numerical behaviour is validated against naive reference implementations
 //! by unit and property tests; the HPL residual criterion is checked in the
@@ -30,20 +25,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod colmajor;
-pub mod condest;
 pub mod gemm;
 pub mod laswp;
-pub mod level1;
-pub mod level2;
+mod level1;
+mod level2;
 pub mod lu;
-pub mod recursive;
 pub mod trsm;
 
-pub use condest::{condest_1, inverse_norm1_estimate};
-pub use gemm::{gemm, gemm_naive, BlockSizes, MicroKernelKind};
-pub use laswp::{laswp_forward, laswp_inverse};
-pub use lu::{getf2, getrf, lu_solve, LuError, LuFactors};
-pub use recursive::{getf2_recursive, getrs, solve_multi};
-pub use trsm::{trsm_left_lower_unit, trsm_left_upper, trsm_right_upper};
+pub use laswp::laswp_forward;
+pub use trsm::trsm_left_lower_unit;

@@ -9,12 +9,7 @@
 //!   host and pipeline with the `U` broadcast (Fig. 8c).
 //! * **Left / Upper / Non-unit** — blocked back-substitution after the
 //!   factorization completes.
-//!
-//! A right-sided case is included for the transposed formulations used in
-//! tests. Blocked variants recast most of the work as GEMM, the same
-//! trick HPL's update uses.
 
-use crate::gemm::{gemm_with, BlockSizes};
 use phi_matrix::{MatrixView, MatrixViewMut, Scalar};
 
 /// Solves `L X = B` in place (`B := L⁻¹ B`), `L` unit lower triangular.
@@ -75,61 +70,6 @@ pub fn trsm_left_upper<T: Scalar>(u: &MatrixView<'_, T>, b: &mut MatrixViewMut<'
     }
 }
 
-/// Solves `X U = B` in place (`B := B U⁻¹`), `U` upper triangular with
-/// explicit diagonal.
-pub fn trsm_right_upper<T: Scalar>(u: &MatrixView<'_, T>, b: &mut MatrixViewMut<'_, T>) {
-    let n = u.rows();
-    assert_eq!(u.cols(), n, "trsm: U must be square");
-    assert_eq!(b.cols(), n, "trsm: B cols");
-    for i in 0..b.rows() {
-        let row = b.row_mut(i);
-        for j in 0..n {
-            let mut acc = row[j];
-            for (p, &rp) in row.iter().enumerate().take(j) {
-                acc -= rp * u.at(p, j);
-            }
-            let diag = u.at(j, j);
-            assert!(diag != T::ZERO, "trsm: zero diagonal at {j}");
-            row[j] = acc / diag;
-        }
-    }
-}
-
-/// Blocked Left/Lower/Unit solve: partitions `L` into `nb × nb` diagonal
-/// blocks, solving each with the unblocked kernel and eliminating the rest
-/// with GEMM — the formulation that lets the trailing work run on the
-/// fast GEMM path.
-pub fn trsm_left_lower_unit_blocked<T: Scalar>(
-    l: &MatrixView<'_, T>,
-    b: &mut MatrixViewMut<'_, T>,
-    nb: usize,
-    bs: &BlockSizes,
-) {
-    let m = l.rows();
-    assert_eq!(l.cols(), m, "trsm: L must be square");
-    assert_eq!(b.rows(), m, "trsm: B rows");
-    assert!(nb > 0);
-    let ncols = b.cols();
-    let mut j = 0;
-    while j < m {
-        let jb = nb.min(m - j);
-        // Solve the diagonal block.
-        let ljj = l.sub(j, j, jb, jb);
-        {
-            let mut bj = b.sub_mut(j, 0, jb, ncols);
-            trsm_left_lower_unit(&ljj, &mut bj);
-        }
-        // Eliminate from the rows below: B2 -= L21 * B1.
-        if j + jb < m {
-            let l21 = l.sub(j + jb, j, m - j - jb, jb);
-            let (top, mut b2) = b.reborrow().split_rows_mut(j + jb);
-            let b1 = top.as_view().sub(j, 0, jb, ncols);
-            gemm_with(-T::ONE, &l21, &b1, T::ONE, &mut b2, bs);
-        }
-        j += jb;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,32 +127,6 @@ mod tests {
         gemm_naive(1.0, &u.view(), &x_true.view(), 0.0, &mut b.view_mut());
         trsm_left_upper(&u.view(), &mut b.view_mut());
         assert!(b.approx_eq(&x_true, 1e-9));
-    }
-
-    #[test]
-    fn right_upper_reconstructs() {
-        let u = upper(7, 5);
-        let x_true = MatGen::new(6).matrix::<f64>(4, 7);
-        let mut b = Matrix::<f64>::zeros(4, 7);
-        gemm_naive(1.0, &x_true.view(), &u.view(), 0.0, &mut b.view_mut());
-        trsm_right_upper(&u.view(), &mut b.view_mut());
-        assert!(b.approx_eq(&x_true, 1e-9));
-    }
-
-    #[test]
-    fn blocked_matches_unblocked() {
-        let l = unit_lower(33, 7);
-        let b0 = MatGen::new(8).matrix::<f64>(33, 9);
-        let mut b_unblocked = b0.clone();
-        let mut b_blocked = b0.clone();
-        trsm_left_lower_unit(&l.view(), &mut b_unblocked.view_mut());
-        trsm_left_lower_unit_blocked(
-            &l.view(),
-            &mut b_blocked.view_mut(),
-            8,
-            &BlockSizes::default(),
-        );
-        assert!(b_blocked.approx_eq(&b_unblocked, 1e-11));
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl From<LuError> for DistError {
 /// the wait (bounded exponential backoff), so the default policy blocks
 /// for at most `100ms · (2⁶ − 1) = 6.3 s` before declaring the peer lost.
 #[derive(Clone, Copy, Debug)]
-pub struct RecvPolicy {
+struct RecvPolicy {
     /// First recv timeout; doubled on every retry.
     pub initial_timeout: Duration,
     /// Total recv attempts before giving up.
@@ -356,7 +356,7 @@ pub struct DistributedLu<T: Scalar> {
 
 /// Factors `a` on a `1 × q` grid of real threads with block-cyclic column
 /// distribution, panel broadcast and look-ahead. Returns factors that
-/// match the sequential reference. Uses the default [`RecvPolicy`].
+/// match the sequential reference. Uses the default `RecvPolicy`.
 pub fn factorize_distributed<T: Scalar>(
     a: &Matrix<T>,
     nb: usize,
@@ -366,7 +366,7 @@ pub fn factorize_distributed<T: Scalar>(
 }
 
 /// [`factorize_distributed`] with an explicit recv-timeout policy.
-pub fn factorize_distributed_with<T: Scalar>(
+fn factorize_distributed_with<T: Scalar>(
     a: &Matrix<T>,
     nb: usize,
     q: usize,

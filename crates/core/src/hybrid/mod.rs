@@ -24,17 +24,17 @@
 //! the real block-cyclic geometry of the grid, then the look-ahead
 //! overlap. Everything else here is a driver of that model — the
 //! healthy and DES-calibrated stage loop (this file; Table III and the
-//! Fig. 9 profiles), the fault-injected loop ([`faulty`]), the
+//! Fig. 9 profiles), the fault-injected loop (`faulty`), the
 //! rank-level DES ([`rankdes`]) and the Fig. 8 Gantt ([`stage_gantt`]).
 
-pub mod faulty;
+mod faulty;
 pub mod rankdes;
 pub mod stage;
 pub mod stage_gantt;
 
-pub use faulty::{recovery_regimes, simulate_cluster_faulty, FaultyClusterResult, FtPolicy};
-pub use rankdes::{simulate_cluster_rankdes, RankDesResult};
-pub use stage::{StageEnv, StageParts};
+pub use faulty::{recovery_regimes, simulate_cluster_faulty, FtPolicy};
+pub use rankdes::simulate_cluster_rankdes;
+pub(crate) use stage::StageEnv;
 
 use crate::offload::{OffloadModel, OffloadOutcome};
 use crate::report::GigaflopsReport;

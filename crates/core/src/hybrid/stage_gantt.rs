@@ -12,13 +12,13 @@ use super::{stage, HybridConfig, Lookahead, StageEnv};
 use phi_des::{Kind, Trace};
 
 /// Lane index of the host in the produced traces.
-pub const HOST_LANE: u32 = 0;
+const HOST_LANE: u32 = 0;
 /// Lane index of the coprocessor.
-pub const CARD_LANE: u32 = 1;
+const CARD_LANE: u32 = 1;
 
 /// Ingredients of one stage as Fig. 8 draws them.
 #[derive(Clone, Copy, Debug)]
-pub struct StageTimes {
+struct StageTimes {
     /// Next panel factorization + its row broadcast (host).
     pub panel: f64,
     /// Row swapping (host + network).
@@ -33,7 +33,7 @@ pub struct StageTimes {
 
 /// Computes the stage ingredients at `stage` for `cfg` (worst node): a
 /// projection of the shared stage model's [`stage::parts`].
-pub fn stage_times(cfg: &HybridConfig, stage: usize) -> StageTimes {
+fn stage_times(cfg: &HybridConfig, stage: usize) -> StageTimes {
     assert!(stage < cfg.n.div_ceil(cfg.nb), "stage out of range");
     let (rows_loc, cols_loc) = stage::worst_extents(cfg.grid, cfg.n, cfg.nb, stage);
     let parts = stage::parts(&StageEnv::healthy(cfg), stage, rows_loc, cols_loc);
@@ -48,7 +48,7 @@ pub fn stage_times(cfg: &HybridConfig, stage: usize) -> StageTimes {
 
 /// Builds the Fig. 8 trace of one iteration under `scheme`. Returns the
 /// trace and the iteration's wall time.
-pub fn scheme_gantt(t: &StageTimes, scheme: Lookahead, strips: usize) -> (Trace, f64) {
+fn scheme_gantt(t: &StageTimes, scheme: Lookahead, strips: usize) -> (Trace, f64) {
     let mut tr = Trace::default();
     tr.enable();
     match scheme {

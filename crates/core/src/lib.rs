@@ -27,6 +27,7 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod distributed;
 pub mod energy;
@@ -36,18 +37,14 @@ pub mod native;
 pub mod offload;
 pub mod refine;
 pub mod report;
-pub mod workload;
+mod workload;
 
-pub use distributed::{factorize_distributed, factorize_distributed_with, DistError, RecvPolicy};
+pub use distributed::factorize_distributed;
 pub use hpldat::HplDat;
-pub use hybrid::{
-    simulate_cluster_faulty, ClusterResult, FaultyClusterResult, FtPolicy, HybridConfig, Lookahead,
-    WorkDivision,
-};
+pub use hybrid::{simulate_cluster_faulty, FtPolicy, HybridConfig, WorkDivision};
 pub use native::{NativeConfig, NativeScheme};
 pub use phi_fabric::RemapStrategy;
-pub use refine::{solve_mixed_precision, RefineResult};
-pub use report::{hpl_flops, FaultSummary, GigaflopsReport};
+pub use report::{hpl_flops, GigaflopsReport};
 pub use workload::{
     simulate_stencil_cluster, DgemmWorkload, SpmvWorkload, StencilClusterConfig,
     StencilClusterReport, StencilWorkload, Workload, WorkloadKind,

@@ -20,7 +20,7 @@
 use crate::hybrid::stage::worst_extents;
 use crate::report::GigaflopsReport;
 use phi_fabric::{NetModel, PatchRemap, ProcessGrid, RemapStrategy, ScheduleShape};
-use phi_knc::{KncChip, LuTaskModel, Precision};
+use phi_knc::{LuTaskModel, Precision};
 
 /// Configuration of a native multi-node run.
 #[derive(Clone, Copy, Debug)]
@@ -60,14 +60,8 @@ impl NativeClusterConfig {
     }
 
     /// Per-card matrix bytes.
-    pub fn bytes_per_card(&self) -> f64 {
+    fn bytes_per_card(&self) -> f64 {
         (self.n as f64 / self.grid.p as f64) * (self.n as f64 / self.grid.q as f64) * 8.0
-    }
-
-    /// Largest N that fits the grid's aggregate GDDR (with 10% slack).
-    pub fn max_n(&self) -> usize {
-        let per_card = self.tasks.gemm.chip.memory_gib * 1.073741824e9 * 0.9;
-        ((per_card * self.grid.size() as f64) / 8.0).sqrt() as usize
     }
 }
 
@@ -107,11 +101,6 @@ pub fn simulate_native_cluster(cfg: &NativeClusterConfig) -> GigaflopsReport {
     let chip = cfg.tasks.gemm.chip;
     let peak = cfg.grid.size() as f64 * chip.native_peak_gflops(Precision::F64);
     GigaflopsReport::new(cfg.n, total, peak)
-}
-
-/// The largest square problem a single 8 GB card can hold (paper: 30K).
-pub fn single_card_max_n() -> usize {
-    KncChip::default().max_native_n()
 }
 
 /// Fault-tolerant native cluster run under an injected
@@ -476,14 +465,5 @@ mod tests {
         assert_eq!(shapes.len(), 3);
         assert!(shapes.iter().all(|s| !s.reshaped && s.grid == cfg.grid));
         assert_eq!(shapes[2].dead_ranks, vec![4, 1]);
-    }
-
-    #[test]
-    fn max_n_formula() {
-        let cfg = NativeClusterConfig::new(1000, 2, 2);
-        let max = cfg.max_n();
-        // 4 cards × 7.2 GiB usable ≈ 60-62K.
-        assert!((58_000..66_000).contains(&max), "{max}");
-        assert!(single_card_max_n() >= 30_000);
     }
 }

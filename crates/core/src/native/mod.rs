@@ -1,7 +1,7 @@
 //! Native Linpack: LU factorization running entirely on the coprocessor
 //! (Section IV).
 //!
-//! * [`numeric`] — the real-arithmetic backend: the DAG-scheduled blocked
+//! * `numeric` — the real-arithmetic backend: the DAG-scheduled blocked
 //!   LU of Fig. 5 executed by real thread groups over a shared matrix,
 //!   validated against the sequential reference and the HPL residual.
 //! * [`model`] — the timed backend: the *same* `DagScheduler` driven over
@@ -14,7 +14,7 @@
 
 pub mod cluster;
 pub mod model;
-pub mod numeric;
+mod numeric;
 pub mod static_la;
 
 pub use cluster::{
@@ -23,7 +23,7 @@ pub use cluster::{
 };
 pub use model::simulate_dynamic;
 pub use numeric::{factorize_parallel, solve_parallel};
-pub use static_la::simulate_static;
+use static_la::simulate_static;
 
 use phi_knc::LuTaskModel;
 
@@ -86,7 +86,7 @@ impl NativeConfig {
     }
 
     /// Width of panel `j` (the last panel may be ragged).
-    pub fn panel_width(&self, j: usize) -> usize {
+    fn panel_width(&self, j: usize) -> usize {
         self.nb.min(self.n - (j * self.nb).min(self.n))
     }
 

@@ -1,7 +1,7 @@
 //! Timed backend: dynamic DAG scheduling over virtual time.
 //!
 //! The same [`DagScheduler`] that drives the real threads in
-//! [`super::numeric`] is driven here by the discrete-event engine: each
+//! `super::numeric` is driven here by the discrete-event engine: each
 //! worker lane is one thread *group*; fetching a task costs the dispatch
 //! overhead (the master's critical section + group wake-up), executing it
 //! advances virtual time by the `LuTaskModel` duration. Super-stage

@@ -9,24 +9,25 @@
 //! the card claims tiles forward from `C00`, the host backward from the
 //! last tile ([`phi_sched::TileDeque`]).
 //!
-//! * [`numeric`] — functional backend with real matrices and real
+//! * `numeric` — functional backend with real matrices and real
 //!   threads: verifies that the stolen-tile decomposition (including
 //!   partial-tile merging) reassembles the exact product.
-//! * [`model`] — timed backend: the DES of Fig. 11 (first/last-tile
+//! * `model` — timed backend: the DES of Fig. 11 (first/last-tile
 //!   exposure, PCIe overlap, run-time tile-size selection) and the fast
 //!   analytic approximation hybrid HPL uses per stage.
 
-pub mod model;
-pub mod numeric;
+mod model;
+mod numeric;
 
-pub use model::{OffloadModel, OffloadOutcome};
+pub use model::OffloadModel;
+pub(crate) use model::OffloadOutcome;
 pub use numeric::offload_gemm_numeric;
 
 /// Splits an extent into `parts` tile spans, merging the ragged remainder
 /// into the **last** tile — the paper's partial-tile merging: "we merge
 /// the last two tiles (one complete tile and one partial tile) at the end
 /// of each row or column and process them together."
-pub fn tile_spans(extent: usize, parts: usize) -> Vec<(usize, usize)> {
+fn tile_spans(extent: usize, parts: usize) -> Vec<(usize, usize)> {
     assert!(parts > 0);
     if extent == 0 {
         return Vec::new();

@@ -16,7 +16,6 @@
 //! each Knights Corner is only solving half the problem size".
 
 use super::tile_spans;
-use crate::report::GigaflopsReport;
 use phi_des::{Kind, Sim};
 use phi_fabric::PcieConfig;
 use phi_knc::{GemmModel, Precision};
@@ -93,7 +92,7 @@ struct DesState {
 impl OffloadModel {
     /// Card compute time for one `mt × nt × kt` tile: the native
     /// outer-product rate of 60 cores (the 61st polls the queues).
-    pub fn tile_time_card(&self, mt: usize, nt: usize) -> f64 {
+    fn tile_time_card(&self, mt: usize, nt: usize) -> f64 {
         let eff = self
             .card
             .outer_product_efficiency(mt, nt, self.k_inner, Precision::F64);
@@ -105,7 +104,7 @@ impl OffloadModel {
     /// problem on `cards` cards — the paper's run-time tile-size
     /// selection ("for each matrix size ... pre-compute the best tile
     /// sizes ... and dynamically pick the best tile size at run-time").
-    pub fn best_grid(&self, m: usize, n: usize, cards: usize) -> (usize, usize) {
+    fn best_grid(&self, m: usize, n: usize, cards: usize) -> (usize, usize) {
         let mut best = (1, 1);
         let mut best_gf = 0.0;
         for g in 1..=10usize {
@@ -214,7 +213,7 @@ impl OffloadModel {
     /// dynamic closed form. At the dynamic equilibrium fraction the two
     /// coincide; anywhere else the static split is slower, which is the
     /// §V-B argument for work stealing that the tuner re-derives.
-    pub fn analytic_split(
+    pub(crate) fn analytic_split(
         &self,
         m: usize,
         n: usize,
@@ -483,18 +482,6 @@ fn host_step(sim: &mut Sim, st: Rc<RefCell<DesState>>, model: OffloadModel, core
     sim.trace_mut().record(100, now, now + dur, Kind::Gemm);
     let st2 = st.clone();
     sim.schedule(dur, move |sm| host_step(sm, st2, model, cores));
-}
-
-/// Convenience: Fig. 11's metric — offload DGEMM efficiency against the
-/// *full* 61-core peak per card ("for offload DGEMM and hybrid HPL, we
-/// report efficiency with respect to all available cores").
-pub fn offload_report(model: &OffloadModel, m: usize, cards: usize) -> GigaflopsReport {
-    let out = model.simulate(m, m, cards, 0.0);
-    let peak = model.card.chip.full_peak_gflops(Precision::F64) * cards as f64;
-    let mut r = GigaflopsReport::new(m, out.time_s, peak);
-    // Override the HPL flop convention: this is a plain GEMM.
-    r.gflops = out.gflops;
-    r
 }
 
 #[cfg(test)]

@@ -92,22 +92,15 @@ impl GigaflopsReport {
     }
 
     /// Attaches a time breakdown.
-    pub fn with_breakdown(mut self, breakdown: Vec<(Kind, f64)>) -> Self {
+    pub(crate) fn with_breakdown(mut self, breakdown: Vec<(Kind, f64)>) -> Self {
         self.breakdown = breakdown;
         self
     }
 
     /// Attaches fault accounting.
-    pub fn with_faults(mut self, faults: FaultSummary) -> Self {
+    pub(crate) fn with_faults(mut self, faults: FaultSummary) -> Self {
         self.faults = Some(faults);
         self
-    }
-
-    /// Efficiency lost to faults: healthy efficiency minus achieved
-    /// efficiency, `None` for a run without fault accounting.
-    pub fn fault_efficiency_loss(&self) -> Option<f64> {
-        self.faults
-            .map(|f| (f.healthy_gflops - self.gflops) / self.peak_gflops)
     }
 }
 
@@ -156,9 +149,6 @@ mod tests {
         });
         let f = degraded.faults.unwrap();
         assert!((f.overhead_fraction(degraded.time_s) - 0.25).abs() < 1e-12);
-        let loss = degraded.fault_efficiency_loss().unwrap();
-        assert!(loss > 0.0 && loss < 1.0);
         assert!(healthy.faults.is_none());
-        assert_eq!(healthy.fault_efficiency_loss(), None);
     }
 }

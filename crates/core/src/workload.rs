@@ -164,8 +164,11 @@ impl SpmvWorkload {
         }
     }
 
-    /// Arithmetic intensity, matching [`Csr::arithmetic_intensity`].
-    pub fn arithmetic_intensity(&self) -> f64 {
+    /// Arithmetic intensity of `y = A·x` in flops per byte, charging the
+    /// standard CSR traffic: 12 bytes per nonzero (8-byte value + 4-byte
+    /// column index), one streaming pass over `x`, and a read+write of
+    /// `y` plus the row pointers.
+    fn arithmetic_intensity(&self) -> f64 {
         let flops = 2.0 * self.nnz as f64;
         let bytes = 12.0 * self.nnz as f64 + 8.0 * self.cols as f64 + 20.0 * self.rows as f64;
         flops / bytes.max(1.0)

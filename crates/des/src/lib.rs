@@ -25,16 +25,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod link;
+mod link;
 pub mod parallel;
-pub mod shared;
-pub mod trace;
+mod trace;
 
 pub use link::Link;
-pub use parallel::{LogicalProcess, Mailbox, ParallelDes, ParallelReport};
-pub use shared::SharedChannel;
-pub use trace::{to_chrome_json, Kind, Span, Trace};
+pub use trace::{Kind, Trace};
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -45,7 +43,7 @@ use std::collections::BinaryHeap;
 /// *total* — no two distinct events compare equal — so pop order cannot
 /// depend on heap internals or insertion order.
 #[derive(Clone, Copy, Debug)]
-pub struct EventKey {
+struct EventKey {
     /// Firing time in simulated seconds.
     pub at: f64,
     /// Originating rank (0 for single-partition simulations).
@@ -56,7 +54,7 @@ pub struct EventKey {
 
 impl EventKey {
     /// Builds a key.
-    pub fn new(at: f64, rank: u32, seq: u64) -> Self {
+    fn new(at: f64, rank: u32, seq: u64) -> Self {
         Self { at, rank, seq }
     }
 }
@@ -82,24 +80,15 @@ impl Ord for EventKey {
 }
 
 /// Recoverable misuse of the timing models, surfaced as a value instead
-/// of a panic. The panicking entry points (`Link::transfer`,
-/// `SharedChannel::start`) remain for internal call sites whose inputs
-/// are invariants; fault-injection and other externally-driven callers
-/// should prefer the `try_*` variants.
+/// of a panic. The panicking entry point (`Link::transfer`) remains for
+/// internal call sites whose inputs are invariants; externally-driven
+/// callers should prefer the `try_*` variant.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ModelError {
+enum ModelError {
     /// A transfer was requested with a negative byte count.
     NegativeBytes {
         /// The offending byte count.
         bytes: f64,
-    },
-    /// A submission arrived before the channel's clock — the fluid model
-    /// cannot rewind.
-    OutOfOrder {
-        /// Requested submit time.
-        at: f64,
-        /// The channel's current clock.
-        now: f64,
     },
 }
 
@@ -108,9 +97,6 @@ impl std::fmt::Display for ModelError {
         match self {
             ModelError::NegativeBytes { bytes } => {
                 write!(f, "negative transfer size {bytes} bytes")
-            }
-            ModelError::OutOfOrder { at, now } => {
-                write!(f, "submission at t={at} precedes channel clock t={now}")
             }
         }
     }
@@ -216,21 +202,6 @@ impl Sim {
         self.now
     }
 
-    /// Runs until the queue drains or the next event lies beyond
-    /// `deadline`; later events stay queued.
-    pub fn run_until(&mut self, deadline: f64) -> f64 {
-        while let Some(ev) = self.queue.peek() {
-            if ev.key.at > deadline {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked");
-            self.now = ev.key.at;
-            self.events_fired += 1;
-            (ev.cb)(self);
-        }
-        self.now
-    }
-
     /// The span trace collected so far.
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -294,20 +265,6 @@ mod tests {
         assert_eq!(*hits.borrow(), 10);
         assert!((end - 5.0).abs() < 1e-12);
         assert_eq!(sim.events_fired(), 10);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let hits = Rc::new(RefCell::new(0u32));
-        let mut sim = Sim::new();
-        for i in 1..=10 {
-            let hits = hits.clone();
-            sim.schedule(i as f64, move |_| *hits.borrow_mut() += 1);
-        }
-        sim.run_until(4.5);
-        assert_eq!(*hits.borrow(), 4);
-        sim.run();
-        assert_eq!(*hits.borrow(), 10);
     }
 
     #[test]

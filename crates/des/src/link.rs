@@ -35,7 +35,7 @@ impl Link {
     /// `[start, end)`.
     ///
     /// # Panics
-    /// Panics on a negative byte count; use [`Link::try_transfer`] when
+    /// Panics on a negative byte count; use `Link::try_transfer` when
     /// the size comes from untrusted input (e.g. a fault plan).
     pub fn transfer(&mut self, now: f64, bytes: f64) -> (f64, f64) {
         self.try_transfer(now, bytes)
@@ -44,7 +44,7 @@ impl Link {
 
     /// Fallible [`Link::transfer`]: rejects negative sizes as a typed
     /// error instead of panicking.
-    pub fn try_transfer(&mut self, now: f64, bytes: f64) -> Result<(f64, f64), crate::ModelError> {
+    fn try_transfer(&mut self, now: f64, bytes: f64) -> Result<(f64, f64), crate::ModelError> {
         if bytes < 0.0 {
             return Err(crate::ModelError::NegativeBytes { bytes });
         }
@@ -55,12 +55,6 @@ impl Link {
         Ok((start, end))
     }
 
-    /// Pure query: when would a transfer of `bytes` finish if issued at
-    /// `now`? Does not book the link.
-    pub fn estimate(&self, now: f64, bytes: f64) -> f64 {
-        now.max(self.busy_until) + self.latency + bytes / self.bandwidth
-    }
-
     /// Time at which the link becomes free.
     pub fn busy_until(&self) -> f64 {
         self.busy_until
@@ -69,15 +63,6 @@ impl Link {
     /// Total payload bytes moved over the link so far.
     pub fn bytes_moved(&self) -> f64 {
         self.bytes_moved
-    }
-
-    /// Link occupancy over `[0, horizon]` — used for utilization reports.
-    pub fn utilization(&self, horizon: f64) -> f64 {
-        if horizon <= 0.0 {
-            0.0
-        } else {
-            (self.bytes_moved / self.bandwidth / horizon).min(1.0)
-        }
     }
 }
 
@@ -112,23 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn estimate_does_not_book() {
-        let mut l = Link::new(1e9, 1e-3);
-        let est = l.estimate(0.0, 1e9);
-        assert!((est - 1.001).abs() < 1e-12);
-        assert_eq!(l.busy_until(), 0.0);
-        l.transfer(0.0, 1e9);
-        assert!(l.busy_until() > 0.0);
-    }
-
-    #[test]
     fn accounting() {
         let mut l = Link::new(2e9, 0.0);
         l.transfer(0.0, 1e9);
         l.transfer(0.0, 3e9);
         assert_eq!(l.bytes_moved(), 4e9);
-        // 4e9 bytes at 2 GB/s = 2s of occupancy over a 4s horizon.
-        assert!((l.utilization(4.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   pending event anywhere — no message generated this window can land
 //!   inside it;
 //! * messages are exchanged at the barrier and enqueued under the total
-//!   [`EventKey`] order `(time, source rank, source seq)`.
+//!   `EventKey` order `(time, source rank, source seq)`.
 //!
 //! Because each rank consumes its events in total key order and the
 //! windows advance monotonically, the execution is **byte-identical at
@@ -51,7 +51,6 @@ pub trait LogicalProcess: Send {
 /// The outbox handed to [`LogicalProcess::handle`]: self-schedules and
 /// cross-rank sends.
 pub struct Mailbox<M> {
-    rank: u32,
     now: f64,
     lookahead: f64,
     local: Vec<(f64, M)>,
@@ -59,16 +58,6 @@ pub struct Mailbox<M> {
 }
 
 impl<M> Mailbox<M> {
-    /// This rank's index.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
     /// Schedules a message to this rank `delay` seconds from now. Self
     /// messages are exempt from the lookahead contract (they never cross
     /// the partition boundary), so any non-negative delay is legal.
@@ -156,7 +145,6 @@ impl<P: LogicalProcess> Rank<P> {
             self.digest = fnv_fold(self.digest, ev.key.rank as u64);
             self.digest = fnv_fold(self.digest, ev.key.seq);
             let mut mb = Mailbox {
-                rank,
                 now: self.now,
                 lookahead,
                 local: Vec::new(),
@@ -328,7 +316,7 @@ impl<P: LogicalProcess> ParallelDes<P> {
     }
 
     /// Windowless reference executor: one event at a time in global
-    /// [`EventKey`] order, messages delivered immediately. Exists to
+    /// `EventKey` order, messages delivered immediately. Exists to
     /// prove the windowed parallel run changes nothing — its report must
     /// equal [`Self::run`]'s except for the window count.
     pub fn run_sequential(&mut self) -> ParallelReport {
@@ -350,7 +338,6 @@ impl<P: LogicalProcess> ParallelDes<P> {
             r.digest = fnv_fold(r.digest, ev.key.rank as u64);
             r.digest = fnv_fold(r.digest, ev.key.seq);
             let mut mb = Mailbox {
-                rank: i as u32,
                 now: r.now,
                 lookahead: self.lookahead,
                 local: Vec::new(),
@@ -383,6 +370,7 @@ mod tests {
     /// A rank that fires `hops` messages around a ring, recording every
     /// (time, payload) it sees.
     struct RingNode {
+        rank: u32,
         n: u32,
         hops: u32,
         seen: Vec<(u64, u32)>,
@@ -399,7 +387,7 @@ mod tests {
         fn handle(&mut self, now: f64, msg: Hop, out: &mut Mailbox<Hop>) {
             self.seen.push((now.to_bits(), msg.tag));
             if msg.left > 0 {
-                let dst = (out.rank() + 1) % self.n;
+                let dst = (self.rank + 1) % self.n;
                 out.send(
                     dst,
                     1e-3 + (msg.tag % 3) as f64 * 1e-4,
@@ -415,7 +403,8 @@ mod tests {
 
     fn ring(n: u32, hops: u32) -> ParallelDes<RingNode> {
         let procs = (0..n)
-            .map(|_| RingNode {
+            .map(|rank| RingNode {
+                rank,
                 n,
                 hops,
                 seen: Vec::new(),
@@ -513,6 +502,7 @@ mod tests {
         // instant; rank 0 must see them ordered by source rank, however
         // the windows happened to batch them.
         struct Node {
+            rank: u32,
             log: Vec<u32>,
         }
         #[derive(Clone)]
@@ -524,13 +514,21 @@ mod tests {
             type Msg = M;
             fn handle(&mut self, _now: f64, msg: M, out: &mut Mailbox<M>) {
                 match msg {
-                    M::Kick => out.send(0, 0.5, M::Tagged(out.rank())),
+                    M::Kick => out.send(0, 0.5, M::Tagged(self.rank)),
                     M::Tagged(src) => self.log.push(src),
                 }
             }
         }
         for seed_order in [[2usize, 1], [1, 2]] {
-            let mut des = ParallelDes::new((0..3).map(|_| Node { log: Vec::new() }).collect(), 0.5);
+            let mut des = ParallelDes::new(
+                (0..3)
+                    .map(|rank| Node {
+                        rank,
+                        log: Vec::new(),
+                    })
+                    .collect(),
+                0.5,
+            );
             for &r in &seed_order {
                 des.seed(r, 0.0, M::Kick);
             }

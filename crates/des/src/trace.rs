@@ -33,7 +33,7 @@ pub enum Kind {
 
 impl Kind {
     /// One-character code for ASCII Gantt rendering.
-    pub fn glyph(self) -> char {
+    fn glyph(self) -> char {
         match self {
             Kind::Panel => 'P',
             Kind::Swap => 'S',
@@ -65,7 +65,7 @@ impl Kind {
     }
 
     /// All kinds, for iteration in reports.
-    pub const ALL: [Kind; 10] = [
+    const ALL: [Kind; 10] = [
         Kind::Panel,
         Kind::Swap,
         Kind::Trsm,
@@ -106,11 +106,6 @@ impl Trace {
         self.enabled = true;
     }
 
-    /// True when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records a span when enabled; zero-length spans are dropped.
     pub fn record(&mut self, lane: u32, start: f64, end: f64, kind: Kind) {
         debug_assert!(end >= start, "span ends before it starts");
@@ -127,11 +122,6 @@ impl Trace {
     /// All recorded spans.
     pub fn spans(&self) -> &[Span] {
         &self.spans
-    }
-
-    /// Clears recorded spans (keeps the enabled flag).
-    pub fn clear(&mut self) {
-        self.spans.clear();
     }
 
     /// Total time per activity kind across all lanes.
@@ -267,64 +257,5 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("lane,start,end,kind\n"));
         assert!(csv.contains("3,0.250000000,0.750000000,DTRSM"));
-    }
-
-    #[test]
-    fn clear_retains_enabled() {
-        let mut t = Trace::default();
-        t.enable();
-        t.record(0, 0.0, 1.0, Kind::Comm);
-        t.clear();
-        assert!(t.spans().is_empty());
-        t.record(0, 0.0, 1.0, Kind::Comm);
-        assert_eq!(t.spans().len(), 1);
-    }
-}
-
-/// Chrome-tracing ("about://tracing" / Perfetto) JSON export: one
-/// complete event per span, lanes as thread ids. Load the output in a
-/// trace viewer for an interactive version of Fig. 7.
-pub fn to_chrome_json(trace: &Trace) -> String {
-    let mut out = String::from("[\n");
-    for (i, s) in trace.spans().iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        // Times in microseconds, as the format expects.
-        out.push_str(&format!(
-            "  {{\"name\": \"{}\", \"cat\": \"lu\", \"ph\": \"X\", \"ts\": {:.3}, \
-             \"dur\": {:.3}, \"pid\": 1, \"tid\": {}}}",
-            s.kind.label(),
-            s.start * 1e6,
-            (s.end - s.start) * 1e6,
-            s.lane
-        ));
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-#[cfg(test)]
-mod chrome_tests {
-    use super::*;
-
-    #[test]
-    fn chrome_json_is_well_formed() {
-        let mut t = Trace::default();
-        t.enable();
-        t.record(0, 0.0, 1e-3, Kind::Panel);
-        t.record(1, 1e-3, 2e-3, Kind::Gemm);
-        let json = to_chrome_json(&t);
-        assert!(json.starts_with("[\n"));
-        assert!(json.trim_end().ends_with(']'));
-        assert_eq!(json.matches("\"ph\": \"X\"").count(), 2);
-        assert!(json.contains("\"name\": \"DGETRF\""));
-        assert!(json.contains("\"dur\": 1000.000"));
-    }
-
-    #[test]
-    fn empty_trace_gives_empty_array() {
-        let json = to_chrome_json(&Trace::default());
-        assert_eq!(json, "[\n\n]\n");
     }
 }

@@ -47,7 +47,7 @@ impl RemapStrategy {
 /// with exactly this error's message, so callers that validated their
 /// inputs and callers that want a typed result see the same contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GridError {
+enum GridError {
     /// `fallback_grid(0)`: no survivors to re-form a grid from.
     NoSurvivors,
     /// `patch_remap(dead_rank)` with `dead_rank >= size`: the rank is
@@ -186,7 +186,7 @@ impl ProcessGrid {
     /// [`GridError::NoSurvivors`] for `survivors == 0` instead of
     /// panicking. Recovery paths that derive the survivor count from
     /// untrusted fault plans should prefer this.
-    pub fn try_fallback_grid(survivors: usize) -> Result<Self, GridError> {
+    fn try_fallback_grid(survivors: usize) -> Result<Self, GridError> {
         if survivors == 0 {
             return Err(GridError::NoSurvivors);
         }
@@ -208,10 +208,10 @@ impl ProcessGrid {
     /// survivors. The returned [`PatchRemap`] prices that move in O(1).
     ///
     /// # Panics
-    /// Panics with the corresponding [`GridError`] message when
-    /// `dead_rank` is out of range ([`GridError::RankOutOfRange`]) or
+    /// Panics with the corresponding `GridError` message when
+    /// `dead_rank` is out of range (`GridError::RankOutOfRange`) or
     /// the grid has a single process — nobody left to absorb the share
-    /// ([`GridError::SingletonGrid`]).
+    /// (`GridError::SingletonGrid`).
     pub fn patch_remap(&self, dead_rank: usize) -> PatchRemap {
         match self.try_patch_remap(dead_rank) {
             Ok(r) => r,
@@ -221,7 +221,7 @@ impl ProcessGrid {
 
     /// Non-panicking [`Self::patch_remap`]: the same remap as a typed
     /// result, rejecting a foreign `dead_rank` and the singleton grid.
-    pub fn try_patch_remap(&self, dead_rank: usize) -> Result<PatchRemap, GridError> {
+    fn try_patch_remap(&self, dead_rank: usize) -> Result<PatchRemap, GridError> {
         if dead_rank >= self.size() {
             return Err(GridError::RankOutOfRange {
                 rank: dead_rank,

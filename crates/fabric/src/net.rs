@@ -115,7 +115,7 @@ impl HaloSpec {
 
     /// Local extent along `axis` for a rank at `coord`: `n/p`, with the
     /// first `n mod p` coordinates absorbing the remainder.
-    pub fn local_extent(&self, axis: usize, coord: usize) -> usize {
+    fn local_extent(&self, axis: usize, coord: usize) -> usize {
         let (n, p) = (self.dim(axis), self.rank_dim(axis));
         n / p + usize::from(coord < n % p)
     }
@@ -153,7 +153,7 @@ impl HaloSpec {
 
     /// Bytes of one face a rank at `coord` sends along `axis`: a
     /// `radius`-deep slab of its own cross-section, 8 bytes per point.
-    pub fn face_bytes(&self, axis: usize, coord: [usize; 3]) -> f64 {
+    fn face_bytes(&self, axis: usize, coord: [usize; 3]) -> f64 {
         let mut area = 1.0;
         for (other, &c) in coord.iter().enumerate() {
             if other != axis {
@@ -184,6 +184,25 @@ impl HaloSpec {
     /// Total bytes crossing the network in one exchange.
     pub fn total_bytes(&self) -> f64 {
         self.messages().iter().map(|m| m.2).sum()
+    }
+}
+
+/// `⌈log₂ p⌉` — the smallest `r` with `2^r ≥ p` — in integer arithmetic:
+/// the round count of every tree-shaped collective priced here and in
+/// the hybrid stage model. (A libm `log2` is not correctly rounded; one
+/// ulp high at a power of two would add a round to every stage.)
+///
+/// `#[inline]` here and on its two callers, [`NetModel::bcast`] and
+/// [`NetModel::long_swap`]: with the float form those were leaf
+/// functions, which rustc inlines across crates on its own; calling
+/// this function ended that, and the stage model's `parts` in `phi-hpl`
+/// made two out-of-line calls per stage.
+#[inline]
+pub fn ceil_log2(p: usize) -> u32 {
+    if p <= 1 {
+        0
+    } else {
+        (p - 1).ilog2() + 1
     }
 }
 
@@ -243,6 +262,7 @@ impl NetModel {
     /// `Ring` delegates to [`ring_bcast`](Self::ring_bcast) and is
     /// bit-identical to it; the other two reuse the same postal constants
     /// so the schemes are comparable, not separately calibrated.
+    #[inline]
     pub fn bcast(&self, scheme: BcastScheme, bytes: f64, q: usize) -> f64 {
         if q <= 1 {
             return 0.0;
@@ -258,7 +278,7 @@ impl NetModel {
             }
             BcastScheme::Binomial => {
                 // ⌈log₂ q⌉ store-and-forward rounds, full message each.
-                let rounds = (q as f64).log2().ceil().max(1.0);
+                let rounds = ceil_log2(q).max(1) as f64;
                 rounds * (self.latency + bytes / self.bandwidth)
             }
         }
@@ -268,13 +288,14 @@ impl NetModel {
     /// wide over `p` process rows: every process sends/receives ≈
     /// `(p-1)/p` of its share twice (spread + roll), with `log2(p)`-ish
     /// latency stages.
+    #[inline]
     pub fn long_swap(&self, nb: usize, cols: usize, p: usize) -> f64 {
         if p <= 1 {
             return 0.0;
         }
         let bytes = 8.0 * nb as f64 * cols as f64;
         let share = bytes / p as f64;
-        let stages = (p as f64).log2().ceil().max(1.0);
+        let stages = ceil_log2(p).max(1) as f64;
         2.0 * share * (p - 1) as f64 / p as f64 * p as f64 / self.bandwidth / p as f64
             + 2.0 * share / self.bandwidth
             + stages * self.latency
@@ -315,6 +336,18 @@ impl NetModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ceil_log2_is_the_smallest_exponent_covering_p() {
+        for p in (1..=4096).chain([usize::MAX]) {
+            let r = ceil_log2(p);
+            // 2^r ≥ p (2^BITS covers every usize) …
+            assert!(r == usize::BITS || 1usize << r >= p, "p = {p}, r = {r}");
+            // … and no smaller exponent does.
+            assert!(r == 0 || 1usize << (r - 1) < p, "p = {p}, r = {r}");
+        }
+        assert_eq!(ceil_log2(usize::MAX), usize::BITS);
+    }
 
     #[test]
     fn p2p_postal_model() {

@@ -1,6 +1,9 @@
-//! PCIe link and memory-mapped offload queues (paper Fig. 10b).
+//! PCIe parameters and memory-mapped offload queues (paper Fig. 10b).
 //!
-//! Offload DGEMM moves data in three ways, all modeled here:
+//! Offload DGEMM moves data in three ways; this module holds the link
+//! parameters ([`PcieConfig`]) and the queue ([`MmQueue`]), and the
+//! offload model in `phi-hpl` books the DMAs on `phi_des::Link`s built
+//! from them:
 //!
 //! 1. the host DMAs packed input tiles to GDDR (steps 2–3 of Fig. 10b);
 //! 2. requests travel through a **memory-mapped request queue** that the
@@ -13,7 +16,6 @@
 //! `Kt > 4 · P_dgemm / BW_pcie` — with `P ≈ 950` GFLOPS and `BW ≈ 4` GB/s
 //! that gives `Kt ≥ 950`, and the paper uses `Kt = 1200`.
 
-use phi_des::Link;
 use std::collections::VecDeque;
 
 /// PCIe link parameters.
@@ -67,45 +69,6 @@ impl PcieConfig {
     }
 }
 
-/// A PCIe attachment: one serialized link per direction, as DMA reads and
-/// writes proceed concurrently on PCIe's full-duplex lanes.
-#[derive(Clone, Copy, Debug)]
-pub struct PcieLink {
-    cfg: PcieConfig,
-    /// Host → device direction.
-    pub to_device: Link,
-    /// Device → host direction.
-    pub to_host: Link,
-}
-
-impl PcieLink {
-    /// Builds the link pair using the *effective* bandwidth (the correct
-    /// choice whenever the host is simultaneously swapping — i.e., inside
-    /// HPL).
-    pub fn new(cfg: PcieConfig) -> Self {
-        Self {
-            cfg,
-            to_device: Link::new(cfg.effective_bw, cfg.latency),
-            to_host: Link::new(cfg.effective_bw, cfg.latency),
-        }
-    }
-
-    /// Builds the link pair at nominal bandwidth (microbenchmarks with an
-    /// idle host).
-    pub fn new_nominal(cfg: PcieConfig) -> Self {
-        Self {
-            cfg,
-            to_device: Link::new(cfg.nominal_bw, cfg.latency),
-            to_host: Link::new(cfg.nominal_bw, cfg.latency),
-        }
-    }
-
-    /// Configuration in force.
-    pub fn config(&self) -> PcieConfig {
-        self.cfg
-    }
-}
-
 /// A memory-mapped FIFO queue between host and card (Fig. 10b).
 ///
 /// Functionally a `VecDeque`; temporally, an entry enqueued at time `t`
@@ -114,9 +77,6 @@ impl PcieLink {
 pub struct MmQueue<T> {
     entries: VecDeque<(f64, T)>,
     poll_latency: f64,
-    enqueued: u64,
-    dequeued: u64,
-    high_water: usize,
 }
 
 impl<T> MmQueue<T> {
@@ -126,48 +86,27 @@ impl<T> MmQueue<T> {
         Self {
             entries: VecDeque::new(),
             poll_latency,
-            enqueued: 0,
-            dequeued: 0,
-            high_water: 0,
         }
     }
 
     /// Host side: enqueue `item` at time `now`.
     pub fn enqueue(&mut self, now: f64, item: T) {
         self.entries.push_back((now + self.poll_latency, item));
-        self.enqueued += 1;
-        self.high_water = self.high_water.max(self.entries.len());
     }
 
     /// Poller side: dequeue the head entry if it is visible at `now`.
     pub fn poll(&mut self, now: f64) -> Option<T> {
         match self.entries.front() {
             Some(&(visible_at, _)) if visible_at <= now => {
-                self.dequeued += 1;
                 self.entries.pop_front().map(|(_, item)| item)
             }
             _ => None,
         }
     }
 
-    /// Earliest time the head entry becomes visible, if any.
-    pub fn next_visible_at(&self) -> Option<f64> {
-        self.entries.front().map(|&(t, _)| t)
-    }
-
-    /// Entries currently queued (visible or not).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// (total enqueued, total dequeued, high-water mark).
-    pub fn stats(&self) -> (u64, u64, usize) {
-        (self.enqueued, self.dequeued, self.high_water)
     }
 }
 
@@ -201,26 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn directions_are_independent() {
-        let mut link = PcieLink::new(PcieConfig::default());
-        let (_, up_end) = link.to_device.transfer(0.0, 4.0e9);
-        let (down_start, _) = link.to_host.transfer(0.0, 4.0e9);
-        // The downstream transfer does not wait for the upstream one.
-        assert_eq!(down_start, 0.0);
-        assert!(up_end > 0.9);
-    }
-
-    #[test]
-    fn effective_slower_than_nominal() {
-        let cfg = PcieConfig::default();
-        let mut eff = PcieLink::new(cfg);
-        let mut nom = PcieLink::new_nominal(cfg);
-        let (_, t_eff) = eff.to_device.transfer(0.0, 6.0e9);
-        let (_, t_nom) = nom.to_device.transfer(0.0, 6.0e9);
-        assert!(t_eff > t_nom);
-    }
-
-    #[test]
     fn queue_visibility_delay() {
         let mut q = MmQueue::new(2e-6);
         q.enqueue(1.0, "dgemm-tile-0");
@@ -235,29 +154,10 @@ mod tests {
         q.enqueue(0.0, 1);
         q.enqueue(0.0, 2);
         q.enqueue(0.0, 3);
+        assert!(!q.is_empty());
         assert_eq!(q.poll(0.0), Some(1));
         assert_eq!(q.poll(0.0), Some(2));
         assert_eq!(q.poll(0.0), Some(3));
-    }
-
-    #[test]
-    fn queue_stats_track_high_water() {
-        let mut q = MmQueue::new(0.0);
-        for i in 0..5 {
-            q.enqueue(0.0, i);
-        }
-        q.poll(0.0);
-        let (enq, deq, hw) = q.stats();
-        assert_eq!((enq, deq, hw), (5, 1, 5));
-        assert_eq!(q.len(), 4);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn next_visible_supports_event_scheduling() {
-        let mut q = MmQueue::new(5e-6);
-        assert_eq!(q.next_visible_at(), None);
-        q.enqueue(1.0, ());
-        assert_eq!(q.next_visible_at(), Some(1.0 + 5e-6));
+        assert!(q.is_empty());
     }
 }

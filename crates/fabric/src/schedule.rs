@@ -26,12 +26,12 @@ use crate::net::BcastScheme;
 
 /// Tag space of the panel broadcast along a process row; strip `k` of a
 /// pipelined broadcast uses `PANEL_TAG + k`.
-pub const PANEL_TAG: u32 = 0x100;
+const PANEL_TAG: u32 = 0x100;
 /// Tag space of the long-swap exchange down a process column; doubling
 /// round `d` uses `SWAP_TAG + d`.
-pub const SWAP_TAG: u32 = 0x200;
+const SWAP_TAG: u32 = 0x200;
 /// Tag of the `U` broadcast down a process column.
-pub const U_TAG: u32 = 0x300;
+const U_TAG: u32 = 0x300;
 
 /// One typed point-to-point operation in a rank's program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,13 +60,6 @@ impl CommOp {
         match *self {
             CommOp::Send { to, .. } => to,
             CommOp::Recv { from, .. } => from,
-        }
-    }
-
-    /// The operation's tag.
-    pub fn tag(&self) -> u32 {
-        match *self {
-            CommOp::Send { tag, .. } | CommOp::Recv { tag, .. } => tag,
         }
     }
 }
@@ -105,11 +98,6 @@ impl CommSchedule {
     /// Total operations across all ranks.
     pub fn total_ops(&self) -> usize {
         self.programs.iter().map(Vec::len).sum()
-    }
-
-    /// Live rank count.
-    pub fn live_count(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
     }
 }
 
@@ -326,7 +314,7 @@ impl ScheduleBuilder {
     /// broadcast of `bytes` to its row. `strips` splits the message
     /// into that many sequential per-strip broadcasts (the pipelined
     /// look-ahead shape); each strip uses `PANEL_TAG + strip`.
-    pub fn panel_bcast(
+    fn panel_bcast(
         &self,
         scheme: BcastScheme,
         root_col: usize,
@@ -356,7 +344,7 @@ impl ScheduleBuilder {
     /// recursive-doubling pairwise exchanges among the live rows, the
     /// lower partner sending first — the head-to-head-safe idiom. Round
     /// `d` uses `SWAP_TAG + d`.
-    pub fn long_swap(&self, bytes: u64) -> CommSchedule {
+    fn long_swap(&self, bytes: u64) -> CommSchedule {
         let mut s = self.fresh(format!("long-swap on {}x{}", self.grid.p, self.grid.q));
         for q in 0..self.grid.q {
             let members = self.live_col(q);
@@ -387,7 +375,7 @@ impl ScheduleBuilder {
 
     /// `U` broadcast down every process column: a pipelined ring from
     /// the live member of row `root_row` (or the next live row).
-    pub fn u_bcast(&self, root_row: usize, bytes: u64) -> CommSchedule {
+    fn u_bcast(&self, root_row: usize, bytes: u64) -> CommSchedule {
         let mut s = self.fresh(format!(
             "u-bcast root-row {} on {}x{}",
             root_row, self.grid.p, self.grid.q
@@ -542,6 +530,6 @@ mod tests {
         let b = ScheduleBuilder::for_shape(&shape);
         let s = b.stage_schedule(BcastScheme::Binomial, 1, 1, 8192, 4096, 1);
         assert!(s.programs[5].is_empty() && s.programs[9].is_empty());
-        assert_eq!(s.live_count(), 30);
+        assert_eq!(s.live.iter().filter(|&&l| l).count(), 30);
     }
 }

@@ -50,6 +50,7 @@
 //! event list in agreement.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 /// The LCG multiplier shared with `phi_matrix::HplRng` (Knuth MMIX).
 const MULT: u64 = 6364136223846793005;
@@ -245,7 +246,7 @@ impl FaultRng {
     }
 
     /// Next raw 64-bit state.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_mul(MULT).wrapping_add(ADD);
         self.0
     }
@@ -564,12 +565,12 @@ impl FaultEvent {
         }
     }
     /// Does the window cover simulated time `t`?
-    pub fn active_at(&self, t: f64) -> bool {
+    fn active_at(&self, t: f64) -> bool {
         t >= self.at_s && t < self.at_s + self.kind.duration_s()
     }
 
     /// Fraction of `[t0, t1)` the window covers (0 when disjoint).
-    pub fn overlap_fraction(&self, t0: f64, t1: f64) -> f64 {
+    fn overlap_fraction(&self, t0: f64, t1: f64) -> f64 {
         if t1 <= t0 {
             return 0.0;
         }
@@ -581,7 +582,7 @@ impl FaultEvent {
 }
 
 /// Aggregate perturbation of the machine models at (or over) a point of
-/// simulated time. The identity element ([`Effects::healthy`]) leaves
+/// simulated time. The identity element (`Effects::healthy`) leaves
 /// every model untouched — a zero-fault plan is bit-identical to no
 /// plan at all.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -602,7 +603,7 @@ pub struct Effects {
 
 impl Effects {
     /// No perturbation at all.
-    pub fn healthy() -> Self {
+    fn healthy() -> Self {
         Self {
             net_bw_factor: 1.0,
             extra_latency_s: 0.0,
@@ -613,7 +614,7 @@ impl Effects {
         }
     }
 
-    /// True when this equals [`Effects::healthy`].
+    /// True when this equals `Effects::healthy`.
     pub fn is_healthy(&self) -> bool {
         *self == Self::healthy()
     }
@@ -1213,30 +1214,12 @@ impl FaultPlan {
         e
     }
 
-    /// Onset of the first card death, if any card ever dies.
-    pub fn first_card_death(&self) -> Option<f64> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::CardDeath { .. }))
-            .map(|e| e.at_s)
-            .next()
-    }
-
     /// Total cards that ever die under this plan.
     pub fn total_card_deaths(&self) -> usize {
         self.events
             .iter()
             .filter(|e| matches!(e.kind, FaultKind::CardDeath { .. }))
             .count()
-    }
-
-    /// Onset of the first host-rank death, if any host ever dies.
-    pub fn first_host_death(&self) -> Option<f64> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::HostDeath { .. }))
-            .map(|e| e.at_s)
-            .next()
     }
 
     /// Total host ranks that ever die under this plan.
@@ -1295,7 +1278,7 @@ mod tests {
             assert!(p.effects_at(t).is_healthy());
         }
         assert!(p.effects_over(0.0, 1e9).is_healthy());
-        assert_eq!(p.first_card_death(), None);
+        assert_eq!(p.total_card_deaths(), 0);
     }
 
     #[test]
@@ -1335,7 +1318,6 @@ mod tests {
         assert_eq!(p.effects_at(4.0).cards_lost, 0);
         assert_eq!(p.effects_at(6.0).cards_lost, 1);
         assert_eq!(p.effects_at(1e9).cards_lost, 2);
-        assert_eq!(p.first_card_death(), Some(5.0));
         assert_eq!(p.total_card_deaths(), 2);
     }
 
@@ -1393,7 +1375,6 @@ mod tests {
         assert_eq!(p.effects_at(3.0).hosts_lost, 1);
         assert_eq!(p.effects_at(1e9).hosts_lost, 2);
         assert_eq!(p.effects_over(0.0, 4.0).hosts_lost, 1);
-        assert_eq!(p.first_host_death(), Some(3.0));
         assert_eq!(p.total_host_deaths(), 2);
         // Host deaths don't count as card deaths (and vice versa).
         assert_eq!(p.total_card_deaths(), 0);
@@ -1434,7 +1415,9 @@ mod tests {
             )
             .resolved(99, 100.0);
         assert_eq!(certain.total_card_deaths(), 1);
-        assert_eq!(certain.first_card_death(), Some(12.0));
+        // The child lands `delay_s` after its parent's onset.
+        assert_eq!(certain.effects_at(11.9).cards_lost, 0);
+        assert_eq!(certain.effects_at(12.0).cards_lost, 1);
 
         let never = FaultPlan::none()
             .with_cascade(

@@ -42,7 +42,7 @@ impl CacheConfig {
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> usize {
+    fn sets(&self) -> usize {
         self.capacity_bytes / (self.ways * self.line_bytes)
     }
 }
@@ -126,7 +126,7 @@ impl Cache {
     /// [`Self::access`] with an undo record appended to `log`, for the
     /// trace-replay rollback path. Counters are NOT captured in the log —
     /// the replayer snapshots and restores them wholesale.
-    pub fn access_logged(&mut self, elem_idx: usize, log: &mut Vec<CacheUndo>) -> bool {
+    pub(crate) fn access_logged(&mut self, elem_idx: usize, log: &mut Vec<CacheUndo>) -> bool {
         let line = self.line_of(elem_idx);
         let set = self.set_of(line);
         let ways = self.cfg.ways;
@@ -151,7 +151,7 @@ impl Cache {
     }
 
     /// [`Self::fill`] with an undo record appended to `log`.
-    pub fn fill_logged(&mut self, elem_idx: usize, log: &mut Vec<CacheUndo>) {
+    pub(crate) fn fill_logged(&mut self, elem_idx: usize, log: &mut Vec<CacheUndo>) {
         let line = self.line_of(elem_idx);
         let set = self.set_of(line);
         let ways = self.cfg.ways;
@@ -174,7 +174,7 @@ impl Cache {
     /// Reverses one logged mutation. Records must be undone in reverse
     /// order of logging; doing so restores the exact pre-mutation LRU
     /// state (counters are restored separately via [`Self::set_stats`]).
-    pub fn undo(&mut self, op: CacheUndo) {
+    pub(crate) fn undo(&mut self, op: CacheUndo) {
         match op {
             CacheUndo::Touched { set, from_pos } => {
                 let line = self.tags[set].remove(0);
@@ -191,14 +191,14 @@ impl Cache {
 
     /// Overwrites the (hits, misses) counters — rollback companion of
     /// [`Self::undo`].
-    pub fn set_stats(&mut self, hits: u64, misses: u64) {
+    pub(crate) fn set_stats(&mut self, hits: u64, misses: u64) {
         self.hits = hits;
         self.misses = misses;
     }
 
     /// Invalidates every line (counters are kept) — the cache half of a
     /// TLB-shootdown-style global invalidation.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         for set in &mut self.tags {
             set.clear();
         }
@@ -207,7 +207,7 @@ impl Cache {
     /// FNV-1a digest of the full tag state (sets in order, MRU-first
     /// within each set) plus the counters — bit-identity evidence for the
     /// differential harness.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let fold = |w: u64, h: &mut u64| {
             for b in w.to_le_bytes() {
@@ -230,23 +230,13 @@ impl Cache {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
-
-    /// Hit rate over all accesses (1.0 when no accesses yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// A reversible record of one cache mutation, produced by
 /// [`Cache::access_logged`] / [`Cache::fill_logged`] and consumed (in
 /// reverse order) by [`Cache::undo`].
 #[derive(Clone, Copy, Debug)]
-pub enum CacheUndo {
+pub(crate) enum CacheUndo {
     /// An already-resident line moved from `from_pos` to MRU position 0.
     Touched {
         /// Set index the mutation happened in.
@@ -263,32 +253,10 @@ pub enum CacheUndo {
     },
 }
 
-/// Per-cycle occupancy of the L1's two ports.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct L1Ports {
-    /// Read port claimed this cycle.
-    pub read_busy: bool,
-    /// Write port claimed this cycle.
-    pub write_busy: bool,
-}
-
-impl L1Ports {
-    /// Resets both ports at the start of a cycle.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
-    /// True when a prefetch fill (needing both ports, Fig. 1c) can
-    /// complete this cycle.
-    pub fn fill_possible(&self) -> bool {
-        !self.read_busy && !self.write_busy
-    }
-}
-
 /// A pending L1 prefetch: issued, waiting for its line and then for a
 /// port-free cycle to fill.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PendingFill {
+pub(crate) struct PendingFill {
     /// Element index whose line is being prefetched.
     pub elem_idx: usize,
     /// Cycle at which the line arrives from L2/memory and the fill first
@@ -330,7 +298,6 @@ mod tests {
         assert!(!c.access(100));
         assert!(c.access(100));
         assert_eq!(c.stats(), (1, 1));
-        assert_eq!(c.hit_rate(), 0.5);
     }
 
     #[test]
@@ -369,16 +336,5 @@ mod tests {
             misses > 9,
             "second sweep must still miss (thrash): h={hits} m={misses}"
         );
-    }
-
-    #[test]
-    fn ports_gate_fills() {
-        let mut p = L1Ports::default();
-        assert!(p.fill_possible());
-        p.read_busy = true;
-        assert!(!p.fill_possible());
-        p.reset();
-        p.write_busy = true;
-        assert!(!p.fill_possible());
     }
 }

@@ -28,7 +28,7 @@ pub enum Precision {
 
 impl Precision {
     /// Bytes per element.
-    pub fn bytes(self) -> usize {
+    fn bytes(self) -> usize {
         match self {
             Precision::F32 => 4,
             Precision::F64 => 8,
@@ -36,7 +36,7 @@ impl Precision {
     }
 
     /// FLOPs per core per cycle (FMA counts as 2 × lanes).
-    pub fn flops_per_cycle(self) -> f64 {
+    fn flops_per_cycle(self) -> f64 {
         match self {
             Precision::F32 => 32.0,
             Precision::F64 => 16.0,
@@ -76,7 +76,7 @@ impl Default for KncChip {
 
 impl KncChip {
     /// Peak GFLOPS over `cores` cores.
-    pub fn peak_gflops(&self, prec: Precision, cores: usize) -> f64 {
+    fn peak_gflops(&self, prec: Precision, cores: usize) -> f64 {
         cores as f64 * self.freq_ghz * prec.flops_per_cycle()
     }
 
@@ -90,13 +90,6 @@ impl KncChip {
     /// the denominator for offload/hybrid efficiency.
     pub fn full_peak_gflops(&self, prec: Precision) -> f64 {
         self.peak_gflops(prec, self.cores_total)
-    }
-
-    /// Largest N whose `N × N` f64 matrix fits in GDDR (with ~10% slack
-    /// for buffers) — the paper factors up to N = 30K on the 8 GB card.
-    pub fn max_native_n(&self) -> usize {
-        let bytes = self.memory_gib * 1024.0 * 1024.0 * 1024.0 * 0.9;
-        (bytes / 8.0).sqrt() as usize
     }
 
     /// The chip with `core_fraction` of its cores throttled to run
@@ -242,23 +235,10 @@ impl KernelCalibration {
 impl GemmModel {
     /// Issue-limited kernel efficiency for a variant: FMAs per cycle in
     /// steady state (Kernel 2: 30/32; Kernel 1: 31/34).
-    pub fn kernel_efficiency(&self, kind: MicroKernelKind) -> f64 {
+    fn kernel_efficiency(&self, kind: MicroKernelKind) -> f64 {
         match kind {
             MicroKernelKind::Kernel1 => 31.0 / self.kernel1_cycles_per_iter,
             MicroKernelKind::Kernel2 => 30.0 / self.kernel2_cycles_per_iter,
-        }
-    }
-
-    /// A model whose two kernel constants come from an emulator
-    /// measurement ([`KernelCalibration::measure`]) instead of the
-    /// hand-written defaults. Everything else keeps the default
-    /// calibration.
-    pub fn calibrated_from_emulator(depth: usize) -> Self {
-        let cal = KernelCalibration::measure(depth);
-        Self {
-            kernel1_cycles_per_iter: cal.kernel1_cycles_per_iter,
-            kernel2_cycles_per_iter: cal.kernel2_cycles_per_iter,
-            ..Self::default()
         }
     }
 
@@ -300,7 +280,7 @@ impl GemmModel {
     /// Tile-quantization and load-imbalance factor for an `m × n` output:
     /// rows round up to 30-row register tiles, columns to the 32-wide
     /// per-core strip, and whole tiles round-robin over 60 cores.
-    pub fn quantization_factor(&self, m: usize, n: usize) -> f64 {
+    fn quantization_factor(&self, m: usize, n: usize) -> f64 {
         if m == 0 || n == 0 {
             return 1.0;
         }
@@ -511,13 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn native_memory_limits_problem_size() {
-        // "30K, which is the largest problem that fits into 8 GB".
-        let n = KncChip::default().max_native_n();
-        assert!((30_000..34_000).contains(&n), "max native N = {n}");
-    }
-
-    #[test]
     fn table2_dgemm_efficiencies_within_half_point() {
         let model = GemmModel::default();
         for (&k, &paper) in TABLE2_K.iter().zip(&TABLE2_DP_EFF) {
@@ -629,7 +602,11 @@ mod tests {
         );
         // A model built from the measurement stays close to the default
         // calibration and preserves the Kernel 2 > Kernel 1 ordering.
-        let model = GemmModel::calibrated_from_emulator(256);
+        let model = GemmModel {
+            kernel1_cycles_per_iter: cal.kernel1_cycles_per_iter,
+            kernel2_cycles_per_iter: cal.kernel2_cycles_per_iter,
+            ..GemmModel::default()
+        };
         let k2 = model.kernel_efficiency(MicroKernelKind::Kernel2);
         let k1 = model.kernel_efficiency(MicroKernelKind::Kernel1);
         assert!((k2 - 30.0 / 32.0).abs() < 0.02, "calibrated k2 eff {k2:.4}");

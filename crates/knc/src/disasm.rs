@@ -4,7 +4,7 @@
 //! the listings of Fig. 2b/2c, so the kernel regenerators can print what
 //! the paper printed. [`parse_instr`] / [`parse_program`] invert that
 //! syntax exactly (the ISA conformance tables in `tests/isa/*.md` are
-//! written in it). [`validate`] statically checks a program against the
+//! written in it). `validate` statically checks a program against the
 //! machine constraints (register indices, lane selectors, address
 //! sanity) before it reaches the emulator.
 
@@ -82,7 +82,7 @@ pub fn disassemble(p: &Program) -> String {
 
 /// A static program defect.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ValidationError {
+pub(crate) enum ValidationError {
     /// Register index ≥ 32.
     BadRegister {
         /// Offending instruction index.
@@ -133,7 +133,7 @@ fn check_operand(at: usize, op: &Operand, errs: &mut Vec<ValidationError>) {
 
 /// Checks every instruction against the machine constraints. Returns all
 /// defects found (empty = valid).
-pub fn validate(p: &Program) -> Vec<ValidationError> {
+pub(crate) fn validate(p: &Program) -> Vec<ValidationError> {
     let mut errs = Vec::new();
     for (at, i) in p.body.iter().enumerate() {
         match i {

@@ -40,7 +40,7 @@ pub struct StreamBases {
 }
 
 impl StreamBases {
-    pub(crate) fn get(&self, s: StreamId) -> usize {
+    fn get(&self, s: StreamId) -> usize {
         match s {
             StreamId::A => self.a,
             StreamId::B => self.b,
@@ -68,18 +68,6 @@ pub struct RunStats {
     pub fills_in_holes: u64,
     /// Total L1 prefetch fills completed.
     pub fills_completed: u64,
-}
-
-impl RunStats {
-    /// Achieved FMA efficiency: multiply-add issue slots over all cycles —
-    /// the metric behind the paper's "% of peak" numbers.
-    pub fn fma_efficiency(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.fmadds as f64 / self.cycles as f64
-        }
-    }
 }
 
 /// Control state of one hardware thread (registers live in [`CoreSim`]).
@@ -148,13 +136,13 @@ impl CoreSim {
     }
 
     /// Enables the block-trace fast path with default knobs. Runs stay
-    /// bit-identical to pure interpretation; see [`crate::trace`].
+    /// bit-identical to pure interpretation; see `crate::trace`.
     pub fn enable_trace(&mut self) {
         self.enable_trace_with(TraceConfig::default());
     }
 
     /// [`Self::enable_trace`] with explicit [`TraceConfig`] knobs.
-    pub fn enable_trace_with(&mut self, cfg: TraceConfig) {
+    fn enable_trace_with(&mut self, cfg: TraceConfig) {
         self.trace = Some(Box::new(TraceEngine::new(cfg)));
     }
 
@@ -166,7 +154,7 @@ impl CoreSim {
     /// Ratio of total simulated cycles to interpreter-executed cycles —
     /// the deterministic coverage speedup of the fast path (1.0 when
     /// nothing replayed).
-    pub fn replay_speedup(&self) -> f64 {
+    pub(crate) fn replay_speedup(&self) -> f64 {
         let Some(ts) = self.trace_stats() else {
             return 1.0;
         };
@@ -264,7 +252,7 @@ impl CoreSim {
     /// stencil tap blocks): a packer that stored the data moments ago
     /// leaves it in L2, so the kernel's `vprefetch0` pays the L2-hit
     /// latency rather than a full GDDR access. Costs no cycles.
-    pub fn warm_l2(&mut self, start: usize, len: usize) {
+    pub(crate) fn warm_l2(&mut self, start: usize, len: usize) {
         let mut idx = start;
         while idx < start + len {
             self.l2.fill(idx);
@@ -285,11 +273,6 @@ impl CoreSim {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> RunStats {
         self.stats
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     /// Runs `body` for `iters` iterations followed by `epilogue` once, on
@@ -889,10 +872,7 @@ mod tests {
         assert_eq!(s4.stats().fmadds, 4 * s1.stats().fmadds);
         assert!(c4 < c1 * 2, "c1={c1} c4={c4}");
         // With 4 threads the pipe is ~fully utilized.
-        assert!(
-            s4.stats().fma_efficiency() > 0.95,
-            "{}",
-            s4.stats().fma_efficiency()
-        );
+        let fma_efficiency = s4.stats().fmadds as f64 / s4.stats().cycles as f64;
+        assert!(fma_efficiency > 0.95, "{fma_efficiency}");
     }
 }

@@ -25,7 +25,7 @@ pub const VLEN: usize = 8;
 pub const LINE_ELEMS: usize = 8;
 
 /// A 512-bit vector register value: eight doubles.
-pub type VReg = [f64; VLEN];
+pub(crate) type VReg = [f64; VLEN];
 
 /// Identifies one of the data streams a kernel walks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -107,7 +107,7 @@ pub enum Operand {
 
 impl Operand {
     /// True when evaluating this operand touches the L1 read port.
-    pub fn reads_memory(&self) -> bool {
+    fn reads_memory(&self) -> bool {
         matches!(self, Operand::Mem(_) | Operand::MemBcast(_, _))
     }
 
@@ -194,7 +194,7 @@ impl Instr {
 
     /// True when this instruction is a vector multiply-add — the unit the
     /// efficiency metric counts.
-    pub fn is_fmadd(&self) -> bool {
+    fn is_fmadd(&self) -> bool {
         matches!(self, Instr::Fmadd { .. })
     }
 
@@ -247,7 +247,7 @@ impl Program {
 
     /// Theoretical efficiency: FMAs / vector slots — 31/32 = 96.9% for
     /// Basic Kernel 1, 30/32 = 93.7% for Basic Kernel 2 (Section III-A2).
-    pub fn theoretical_efficiency(&self) -> f64 {
+    pub(crate) fn theoretical_efficiency(&self) -> f64 {
         self.fmadd_count() as f64 / self.vector_count() as f64
     }
 }

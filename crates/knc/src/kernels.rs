@@ -229,7 +229,7 @@ pub fn run_tile_product(
 }
 
 /// [`run_tile_product`] with the block-trace fast path enabled
-/// ([`crate::trace`]). The report is guaranteed bit-identical to the
+/// (`crate::trace`). The report is guaranteed bit-identical to the
 /// interpreter's; the extras are the trace counters and the coverage
 /// speedup (total cycles over interpreter-executed cycles).
 pub fn run_tile_product_traced(

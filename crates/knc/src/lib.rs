@@ -29,6 +29,7 @@
 //! scales them to matrices that would need terabytes if held in memory.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cache;
 pub mod chip;
@@ -40,16 +41,14 @@ pub mod pipeline;
 pub mod roofline;
 pub mod spmv;
 pub mod stencil;
-pub mod stream;
 pub mod tlb;
-pub mod trace;
+mod trace;
 
 pub use chip::{GemmModel, KncChip, LuTaskModel, Precision};
-pub use emu::{CoreSim, RunStats};
+pub use emu::CoreSim;
 pub use isa::{Addr, BcastMode, Instr, Operand, Program, StreamId};
 pub use kernels::{build_basic_kernel, run_tile_product, KernelReport};
-pub use pipeline::{PipelineConfig, TraceConfig};
+pub use pipeline::PipelineConfig;
 pub use roofline::{RooflineClass, RooflinePoint};
-pub use spmv::{build_spmv_kernel, run_spmv, run_spmv_traced, Csr, SpmvReport};
-pub use stencil::{build_stencil_kernel, run_stencil, StarStencil, StencilReport};
-pub use trace::TraceStats;
+pub use spmv::{run_spmv, run_spmv_traced, Csr, SpmvReport};
+pub use stencil::{run_stencil, StarStencil, StencilReport};

@@ -56,7 +56,7 @@ impl Default for PipelineConfig {
 /// from [`PipelineConfig`] — they change *how fast the simulator runs*,
 /// never what it computes.
 #[derive(Clone, Copy, Debug)]
-pub struct TraceConfig {
+pub(crate) struct TraceConfig {
     /// Largest steady-state period, in macro-iterations, the template
     /// detector recognizes (software-pipelined kernels can alternate
     /// between a small cycle of distinct segment shapes).

@@ -35,13 +35,12 @@
 use crate::emu::{CoreSim, RunStats, StreamBases};
 use crate::isa::{Addr, Instr, Operand, Program, StreamId, LINE_ELEMS, VLEN};
 use crate::pipeline::PipelineConfig;
-use crate::roofline::{self, RooflinePoint};
 use crate::trace::TraceStats;
 
 /// Rows per slice: one vector lane per row.
-pub const SLICE_ROWS: usize = VLEN;
+const SLICE_ROWS: usize = VLEN;
 /// Slices per four-thread row block.
-pub const BLOCK_SLICES: usize = 4;
+const BLOCK_SLICES: usize = 4;
 /// Rows covered by one emulated run.
 pub const BLOCK_ROWS: usize = SLICE_ROWS * BLOCK_SLICES;
 /// L1 prefetch distance in chunks (= cache lines). Two iterations of
@@ -49,12 +48,12 @@ pub const BLOCK_ROWS: usize = SLICE_ROWS * BLOCK_SLICES;
 /// 12-cycle L2 fill latency while keeping the pending-fill queue shallow
 /// enough that the steady state is a fixed point the trace engine can
 /// template. Bounded above by the lint warmup window (8 lines).
-pub const SPMV_PF_DIST: usize = 2;
+const SPMV_PF_DIST: usize = 2;
 /// L2 prefetch distance in chunks for the `vprefetch1` filler turns.
 /// Further out than [`SPMV_PF_DIST`] so a line is already L2-resident
 /// when its L1 prefetch issues — the standard KNC two-level software
 /// prefetch ladder.
-pub const SPMV_PF_L2_DIST: usize = 16;
+const SPMV_PF_L2_DIST: usize = 16;
 
 /// A compressed-sparse-row matrix (f64 values, element column indices).
 #[derive(Clone, Debug, PartialEq)]
@@ -129,21 +128,6 @@ impl Csr {
     pub fn row_len(&self, r: usize) -> usize {
         self.row_ptr[r + 1] - self.row_ptr[r]
     }
-
-    /// Arithmetic intensity of `y = A·x` in flops per byte, charging the
-    /// standard CSR traffic: 12 bytes per nonzero (8-byte value + 4-byte
-    /// column index), one streaming pass over `x`, and a read+write of
-    /// `y` plus the row pointers.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let flops = 2.0 * self.nnz() as f64;
-        let bytes = 12.0 * self.nnz() as f64 + 8.0 * self.cols as f64 + 20.0 * self.rows as f64;
-        flops / bytes.max(1.0)
-    }
-
-    /// Roofline placement of this operator on `chip`.
-    pub fn roofline(&self, chip: &crate::chip::KncChip) -> RooflinePoint {
-        roofline::place(chip, self.arithmetic_intensity())
-    }
 }
 
 /// Reference `y = A·x`, accumulating each row's nonzeros in CSR order
@@ -168,7 +152,7 @@ pub fn reference_spmv(a: &Csr, x: &[f64]) -> Vec<f64> {
 /// `v31` = the current chunk of packed values. Stream map: `A` = packed
 /// values (one base for the block, thread-strided by `8·chunks`), `B` =
 /// this thread's pre-gathered `x` chunks, `C` = the slice's `y` vector.
-pub fn build_spmv_kernel(chunks: usize) -> (Program, Program) {
+fn build_spmv_kernel(chunks: usize) -> (Program, Program) {
     assert!(chunks >= 1);
     let tstride = SLICE_ROWS * chunks;
     let mut body = Program::new();
@@ -220,7 +204,7 @@ pub fn build_spmv_kernel(chunks: usize) -> (Program, Program) {
 
 /// The listing shipped to static analysis: a canonical chunk depth, deep
 /// enough that the lint walk sees disjoint per-thread slices.
-pub const SPMV_LINT_CHUNKS: usize = 512;
+const SPMV_LINT_CHUNKS: usize = 512;
 
 /// The SpMV listing `phi-lint` and the conformance suite analyze.
 pub fn spmv_listing() -> (Program, Program) {
@@ -251,15 +235,6 @@ impl SpmvReport {
             0.0
         } else {
             2.0 * self.nnz as f64 / self.cycles_total as f64
-        }
-    }
-
-    /// Padding overhead: streamed per stored nonzero (≥ 1).
-    pub fn balance_overhead(&self) -> f64 {
-        if self.nnz == 0 {
-            1.0
-        } else {
-            self.padded_nnz as f64 / self.nnz as f64
         }
     }
 }
@@ -450,8 +425,6 @@ pub fn uniform_rect_csr(rows: usize, per_row: usize, seed: u64) -> Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chip::KncChip;
-    use crate::roofline::RooflineClass;
 
     #[test]
     fn csr_round_trips_through_triplets() {
@@ -475,16 +448,6 @@ mod tests {
         let rep = run_spmv(&a, &x, PipelineConfig::default());
         assert_eq!(rep.y, reference_spmv(&a, &x));
         assert_eq!(rep.nnz, 400);
-        assert!(rep.balance_overhead() >= 1.0);
-    }
-
-    #[test]
-    fn spmv_is_bandwidth_bound_on_the_roofline() {
-        let a = banded_csr(256, 8, 3);
-        let chip = KncChip::default();
-        let p = a.roofline(&chip);
-        assert_eq!(p.class, RooflineClass::BandwidthBound);
-        assert!(p.attainable_gflops < 0.1 * chip.native_peak_gflops(crate::Precision::F64));
     }
 
     #[test]

@@ -30,9 +30,9 @@ use crate::pipeline::PipelineConfig;
 use crate::roofline::{self, RooflinePoint};
 
 /// Output vectors computed per run (register block height, `v0..v7`).
-pub const STENCIL_MR: usize = 8;
+const STENCIL_MR: usize = 8;
 /// Threads per run (one register block each).
-pub const STENCIL_THREADS: usize = 4;
+const STENCIL_THREADS: usize = 4;
 
 /// A star stencil: one center tap plus `radius` taps along each of the
 /// six axis directions.
@@ -69,7 +69,7 @@ impl StarStencil {
     }
 
     /// Offset (dx, dy, dz) of tap `j`.
-    pub fn tap_offset(&self, j: usize) -> (i64, i64, i64) {
+    fn tap_offset(&self, j: usize) -> (i64, i64, i64) {
         if j == 0 {
             return (0, 0, 0);
         }
@@ -87,7 +87,7 @@ impl StarStencil {
     /// Arithmetic intensity in flops per byte under the streaming model:
     /// `2T` flops per point against one cached read of the input, the
     /// output write and its write-allocate fill (3 × 8 bytes).
-    pub fn arithmetic_intensity(&self) -> f64 {
+    fn arithmetic_intensity(&self) -> f64 {
         2.0 * self.taps() as f64 / 24.0
     }
 
@@ -103,7 +103,7 @@ impl StarStencil {
 /// broadcast coefficient of the current tap. Stream map: `A` = the
 /// tap-major packed neighbor values (thread-strided by `taps·MR·8`),
 /// `B` = the stride-8 padded coefficient table, `C` = the output block.
-pub fn build_stencil_kernel(taps: usize) -> (Program, Program) {
+fn build_stencil_kernel(taps: usize) -> (Program, Program) {
     assert!(taps >= 1);
     let block = STENCIL_MR * VLEN; // elements per tap per thread
     let mut body = Program::new();

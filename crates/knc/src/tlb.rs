@@ -22,7 +22,7 @@ pub struct Tlb {
 
 impl Tlb {
     /// A TLB with `entries` slots over `page_bytes` pages.
-    pub fn new(entries: usize, page_bytes: usize) -> Self {
+    fn new(entries: usize, page_bytes: usize) -> Self {
         assert!(entries > 0 && page_bytes.is_power_of_two());
         Self {
             entries,
@@ -57,7 +57,7 @@ impl Tlb {
 
     /// [`Self::access`] with an undo record appended to `log` (trace
     /// replay). Counters are snapshot/restored by the caller.
-    pub fn access_logged(&mut self, byte_addr: usize, log: &mut Vec<TlbUndo>) -> bool {
+    pub(crate) fn access_logged(&mut self, byte_addr: usize, log: &mut Vec<TlbUndo>) -> bool {
         let page = (byte_addr / self.page_bytes) as u64;
         if let Some(pos) = self.pages.iter().position(|&p| p == page) {
             self.pages.remove(pos);
@@ -79,7 +79,7 @@ impl Tlb {
     }
 
     /// Reverses one logged mutation (undo in reverse order of logging).
-    pub fn undo(&mut self, op: TlbUndo) {
+    pub(crate) fn undo(&mut self, op: TlbUndo) {
         match op {
             TlbUndo::Touched { from_pos } => {
                 let page = self.pages.remove(0);
@@ -95,18 +95,18 @@ impl Tlb {
     }
 
     /// Overwrites the counters — rollback companion of [`Self::undo`].
-    pub fn set_stats(&mut self, hits: u64, misses: u64) {
+    pub(crate) fn set_stats(&mut self, hits: u64, misses: u64) {
         self.hits = hits;
         self.misses = misses;
     }
 
     /// Drops every translation (counters kept) — a TLB shootdown.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.pages.clear();
     }
 
     /// FNV-1a digest of resident pages (LRU order) plus counters.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let fold = |w: u64, h: &mut u64| {
             for b in w.to_le_bytes() {
@@ -128,7 +128,8 @@ impl Tlb {
     }
 
     /// Miss rate over all accesses so far (0.0 with no accesses).
-    pub fn miss_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn miss_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -140,7 +141,7 @@ impl Tlb {
 
 /// A reversible record of one TLB mutation (see [`Tlb::access_logged`]).
 #[derive(Clone, Copy, Debug)]
-pub enum TlbUndo {
+pub(crate) enum TlbUndo {
     /// A resident page moved from `from_pos` to MRU position 0.
     Touched {
         /// Position the page occupied before promotion.
@@ -158,7 +159,8 @@ pub enum TlbUndo {
 /// (elements), in column-major-ish kernel order: for each column chunk,
 /// touch every row. Returns the TLB miss rate — the experiment behind
 /// Section III-A3.
-pub fn column_walk_miss_rate(rows: usize, cols: usize, ld: usize, mut tlb: Tlb) -> f64 {
+#[cfg(test)]
+fn column_walk_miss_rate(rows: usize, cols: usize, ld: usize, mut tlb: Tlb) -> f64 {
     for j in 0..cols {
         for i in 0..rows {
             tlb.access((i * ld + j) * 8);

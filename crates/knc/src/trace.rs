@@ -148,7 +148,7 @@ struct PendPat {
 /// run permanently staggered), zero stall, no epilogue/done threads, and
 /// the pending-fill list in iteration-relative form.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct EntryPat {
+struct EntryPat {
     pcs: Vec<u16>,
     /// `t.iter - (k - 1)` per thread; index 0 is 0 by construction of
     /// the reference `k = ts[0].iter + 1`.
@@ -269,7 +269,7 @@ pub(crate) struct Replayed {
 }
 
 /// The record/replay engine, held by [`CoreSim`] when tracing is enabled.
-pub struct TraceEngine {
+pub(crate) struct TraceEngine {
     cfg: TraceConfig,
     fp: Option<u64>,
     ring: VecDeque<SegRec>,
@@ -290,7 +290,7 @@ impl TraceEngine {
     }
 
     /// Engine counters.
-    pub fn stats(&self) -> TraceStats {
+    pub(crate) fn stats(&self) -> TraceStats {
         self.stats
     }
 

@@ -103,7 +103,7 @@ fn check_program(region: Region, p: &Program, diags: &mut Vec<Diagnostic>) {
 }
 
 /// Runs the address pass over body and epilogue.
-pub fn check(body: &Program, epilogue: &Program) -> Vec<Diagnostic> {
+pub(crate) fn check(body: &Program, epilogue: &Program) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     check_program(Region::Body, body, &mut diags);
     check_program(Region::Epilogue, epilogue, &mut diags);

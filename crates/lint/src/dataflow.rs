@@ -57,7 +57,7 @@ fn reads(e: &Effects, r: u8) -> bool {
 }
 
 /// Runs the dataflow pass over `body` + `epilogue`.
-pub fn check(body: &Program, epilogue: &Program) -> Vec<Diagnostic> {
+pub(crate) fn check(body: &Program, epilogue: &Program) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let body_fx: Vec<Effects> = body.body.iter().map(effects).collect();
     let epi_fx: Vec<Effects> = epilogue.body.iter().map(effects).collect();

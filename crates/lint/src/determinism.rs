@@ -63,7 +63,7 @@ fn is_comment(line: &str) -> bool {
 /// Scans one source file's text. `name` labels the findings' sites
 /// (`name:line`). Scanning stops at the first `#[cfg(test)]` line —
 /// in this workspace tests sit at the bottom of each file.
-pub fn scan_source(name: &str, text: &str) -> Vec<SchedDiagnostic> {
+fn scan_source(name: &str, text: &str) -> Vec<SchedDiagnostic> {
     let mut diags = Vec::new();
     let mut prev: Option<&str> = None;
     for (idx, line) in text.lines().enumerate() {

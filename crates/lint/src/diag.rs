@@ -124,7 +124,7 @@ impl LintKind {
     /// Stable diagnostic code (`K###` — kernel-pass family). Codes are
     /// append-only: a kind keeps its code forever, so machine consumers
     /// of the `--json` gate output can match on them across releases.
-    pub fn code(&self) -> &'static str {
+    fn code(&self) -> &'static str {
         match self {
             LintKind::UninitializedRead { .. } => "K001",
             LintKind::DeadStore { .. } => "K002",
@@ -158,7 +158,7 @@ impl LintKind {
     }
 
     /// The severity this kind always carries.
-    pub fn severity(&self) -> Severity {
+    fn severity(&self) -> Severity {
         match self {
             LintKind::UninitializedRead { .. }
             | LintKind::AccumulatorClobber { .. }
@@ -212,7 +212,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// Builds a diagnostic, rendering the excerpt from `program`.
-    pub fn new(
+    pub(crate) fn new(
         kind: LintKind,
         region: Region,
         at: usize,
@@ -230,7 +230,7 @@ impl Diagnostic {
     }
 
     /// Renders as a compiler-style multi-line message.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         render_finding(
             self.severity,
             self.kind.code(),
@@ -247,7 +247,7 @@ impl Diagnostic {
 /// Kernel diagnostics ([`Diagnostic`]) and schedule diagnostics
 /// (`phi_lint::schedule`) both route through here so reports from the
 /// two gate binaries read identically.
-pub fn render_finding(
+fn render_finding(
     severity: Severity,
     code: &str,
     name: &str,
@@ -344,7 +344,7 @@ pub enum SchedKind {
 impl SchedKind {
     /// Stable diagnostic code (`S2##` channel graph, `S3##` ownership,
     /// `S4##` determinism). Append-only, like [`LintKind::code`].
-    pub fn code(&self) -> &'static str {
+    fn code(&self) -> &'static str {
         match self {
             SchedKind::WaitCycle { .. } => "S201",
             SchedKind::OrphanReceiver { .. } => "S202",
@@ -379,7 +379,7 @@ impl SchedKind {
     /// not run. (Audited benign occurrences of the determinism lints
     /// are suppressed at the site with `lint:allow` markers, not
     /// downgraded globally.)
-    pub fn severity(&self) -> Severity {
+    fn severity(&self) -> Severity {
         Severity::Error
     }
 
@@ -401,7 +401,7 @@ impl SchedKind {
 }
 
 /// One schedule-family finding: kind + site + context, rendered through
-/// the same [`render_finding`] pipeline as kernel diagnostics.
+/// the same `render_finding` pipeline as kernel diagnostics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SchedDiagnostic {
     /// What was found.
@@ -420,7 +420,7 @@ pub struct SchedDiagnostic {
 
 impl SchedDiagnostic {
     /// Builds a finding.
-    pub fn new(
+    pub(crate) fn new(
         kind: SchedKind,
         site: impl Into<String>,
         message: impl Into<String>,

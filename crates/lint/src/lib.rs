@@ -6,13 +6,13 @@
 //! This crate turns that reasoning into four checked passes over a kernel
 //! [`Program`]:
 //!
-//! 1. [`dataflow`] — def-use over the 32 vregs (uninitialized reads, dead
+//! 1. `dataflow` — def-use over the 32 vregs (uninitialized reads, dead
 //!    stores, accumulator clobbers);
-//! 2. [`slots`] — a static U/V-pipe pairing model yielding steady-state
+//! 2. `slots` — a static U/V-pipe pairing model yielding steady-state
 //!    turns per iteration and port-free holes;
-//! 3. [`ports`] — prefetch coverage, cooperative-split, and write-port
+//! 3. `ports` — prefetch coverage, cooperative-split, and write-port
 //!    lints plus the fills-per-iteration count;
-//! 4. [`addrs`] — alignment, stride-vs-line, thread-overlap checks.
+//! 4. `addrs` — alignment, stride-vs-line, thread-overlap checks.
 //!
 //! [`analyze`] combines them into a [`Report`]: a diagnostic list plus a
 //! [`StaticModel`] whose cycle lower bound is cross-checked against the
@@ -35,29 +35,31 @@
 //!    reductions.
 //!
 //! Kernel findings carry stable `K###` codes, schedule findings `S###`
-//! ([`diag::SchedKind::code`]); both render through the same
-//! [`diag::render_finding`] shape and serialize to JSON for CI.
+//! (`diag::SchedKind::code`); both render through the same
+//! `diag::render_finding` shape and serialize to JSON for CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod addrs;
-pub mod dataflow;
+mod addrs;
+mod dataflow;
 pub mod determinism;
 pub mod diag;
 pub mod fixtures;
 pub mod ownership;
-pub mod ports;
+mod ports;
 pub mod schedule;
-pub mod slots;
+mod slots;
 
-pub use diag::{Diagnostic, LintKind, Region, SchedDiagnostic, SchedKind, Severity};
+use diag::{Diagnostic, Region};
+pub use diag::{LintKind, SchedDiagnostic, SchedKind, Severity};
 pub use ownership::OwnershipMap;
 
 use phi_knc::pipeline::PipelineConfig;
 use phi_knc::{Instr, Program};
 
-pub use phi_knc::RooflineClass;
+use phi_knc::RooflineClass;
 
 /// Analysis parameters (defaults mirror the emulator's machine model).
 #[derive(Clone, Copy, Debug)]
@@ -127,7 +129,7 @@ impl StaticModel {
     }
 
     /// Issue turns per iteration for one thread.
-    pub fn turns_per_iter(&self) -> f64 {
+    fn turns_per_iter(&self) -> f64 {
         if self.iters == 0 {
             0.0
         } else {
@@ -136,7 +138,7 @@ impl StaticModel {
     }
 
     /// Port-free cycles per aggregate iteration (all threads).
-    pub fn holes_per_iter(&self) -> f64 {
+    fn holes_per_iter(&self) -> f64 {
         if self.iters == 0 {
             0.0
         } else {
@@ -154,7 +156,7 @@ impl StaticModel {
     /// Each forced stall costs `fill_stall_cycles` but also opens that
     /// many port-free cycles, so one stall event retires `1 +
     /// fill_stall_cycles` deferred fills from the backlog.
-    pub fn stall_cycles_per_iter(&self) -> f64 {
+    fn stall_cycles_per_iter(&self) -> f64 {
         let events = self.fill_deficit() / (1.0 + self.fill_stall_cycles as f64);
         events * self.fill_stall_cycles as f64
     }
@@ -166,7 +168,7 @@ impl StaticModel {
     }
 
     /// Steady-state FMA-efficiency bound implied by the cycle bound.
-    pub fn steady_efficiency_bound(&self) -> f64 {
+    fn steady_efficiency_bound(&self) -> f64 {
         let c = self.cycles_per_iter_lower_bound();
         if c == 0.0 {
             0.0

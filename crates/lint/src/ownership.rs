@@ -20,7 +20,7 @@ use phi_fabric::{PatchRemap, ProcessGrid};
 
 /// Element extent of global block index `b` of an `n`-element dimension
 /// tiled in `nb`-element blocks (the last block may be partial).
-pub fn block_elems(b: usize, nb: usize, n: usize) -> f64 {
+fn block_elems(b: usize, nb: usize, n: usize) -> f64 {
     nb.min(n.saturating_sub(b * nb)) as f64
 }
 
@@ -51,7 +51,7 @@ impl OwnershipMap {
     }
 
     /// Claimants of cell `(i, j)`.
-    pub fn owners(&self, i: usize, j: usize) -> &[usize] {
+    fn owners(&self, i: usize, j: usize) -> &[usize] {
         &self.owners[i * self.nblocks + j]
     }
 

@@ -23,7 +23,7 @@ const WINDOW: usize = 24;
 
 /// Steady-state L1 traffic facts.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct PortSummary {
+pub(crate) struct PortSummary {
     /// Distinct L1 lines filled by `vprefetch0` per aggregate iteration
     /// (all threads together).
     pub fills_per_iter: f64,
@@ -61,7 +61,7 @@ fn demand_addrs(i: &Instr) -> Vec<phi_knc::Addr> {
 }
 
 /// Runs the port/prefetch pass over the loop body.
-pub fn analyze(body: &Program, threads: usize) -> (PortSummary, Vec<Diagnostic>) {
+pub(crate) fn analyze(body: &Program, threads: usize) -> (PortSummary, Vec<Diagnostic>) {
     let mut diags = Vec::new();
     let total_iters = WARMUP + WINDOW;
 

@@ -15,7 +15,7 @@ use phi_knc::Program;
 
 /// Steady-state issue facts for one thread executing the loop body.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SlotSummary {
+pub(crate) struct SlotSummary {
     /// Issue turns (= cycles granted to this thread) per period.
     pub turns: usize,
     /// Loop iterations per period.
@@ -25,30 +25,10 @@ pub struct SlotSummary {
     pub holes: usize,
 }
 
-impl SlotSummary {
-    /// Turns (thread-cycles) per loop iteration.
-    pub fn turns_per_iter(&self) -> f64 {
-        if self.iters == 0 {
-            0.0
-        } else {
-            self.turns as f64 / self.iters as f64
-        }
-    }
-
-    /// Port-free turns per loop iteration.
-    pub fn holes_per_iter(&self) -> f64 {
-        if self.iters == 0 {
-            0.0
-        } else {
-            self.holes as f64 / self.iters as f64
-        }
-    }
-}
-
 /// Runs the issue-slot pass: returns the steady-state summary plus
 /// [`LintKind::UnpairedVpipe`] diagnostics for V-pipe instructions that
 /// start a turn no vector instruction joins.
-pub fn analyze(body: &Program) -> (SlotSummary, Vec<Diagnostic>) {
+pub(crate) fn analyze(body: &Program) -> (SlotSummary, Vec<Diagnostic>) {
     let n = body.body.len();
     if n == 0 {
         return (SlotSummary::default(), Vec::new());
@@ -137,7 +117,7 @@ mod tests {
         let (body, _) = build_basic_kernel(MicroKernelKind::Kernel1);
         let (s, diags) = analyze(&body);
         assert!(diags.is_empty(), "{diags:?}");
-        assert!((s.turns_per_iter() - 32.0).abs() < 1e-12, "{s:?}");
+        assert_eq!(s.turns as f64 / s.iters as f64, 32.0, "{s:?}");
         assert_eq!(s.holes, 0, "{s:?}");
     }
 
@@ -146,8 +126,8 @@ mod tests {
         let (body, _) = build_basic_kernel(MicroKernelKind::Kernel2);
         let (s, diags) = analyze(&body);
         assert!(diags.is_empty(), "{diags:?}");
-        assert!((s.turns_per_iter() - 32.0).abs() < 1e-12, "{s:?}");
-        assert!((s.holes_per_iter() - 4.0).abs() < 1e-12, "{s:?}");
+        assert_eq!(s.turns as f64 / s.iters as f64, 32.0, "{s:?}");
+        assert_eq!(s.holes as f64 / s.iters as f64, 4.0, "{s:?}");
     }
 
     #[test]
@@ -164,6 +144,6 @@ mod tests {
             .iter()
             .any(|d| matches!(d.kind, LintKind::UnpairedVpipe)));
         // Turn 1: pf (solo, second pf blocks). Turn 2: pf + load.
-        assert!((s.turns_per_iter() - 2.0).abs() < 1e-12, "{s:?}");
+        assert_eq!(s.turns as f64 / s.iters as f64, 2.0, "{s:?}");
     }
 }

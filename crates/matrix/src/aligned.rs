@@ -12,7 +12,7 @@ use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 
 /// Cache-line / vector-register alignment used throughout the workspace.
-pub const ALIGN: usize = 64;
+const ALIGN: usize = 64;
 
 /// A heap allocation of `T`s guaranteed to start on a 64-byte boundary.
 ///
@@ -20,7 +20,7 @@ pub const ALIGN: usize = 64;
 /// zero-initialized. `T` must be a plain scalar (`f32`/`f64`/integers) —
 /// the type is only instantiated with `Copy` types that are valid when
 /// zero-filled.
-pub struct AlignedBuf<T: Copy + Default> {
+pub(crate) struct AlignedBuf<T: Copy + Default> {
     ptr: NonNull<T>,
     len: usize,
 }
@@ -33,7 +33,7 @@ impl<T: Copy + Default> AlignedBuf<T> {
     /// Allocates a zero-filled buffer of `len` elements aligned to
     /// [`ALIGN`] bytes. A `len` of zero is allowed and performs no
     /// allocation.
-    pub fn zeroed(len: usize) -> Self {
+    pub(crate) fn zeroed(len: usize) -> Self {
         if len == 0 {
             return Self {
                 ptr: NonNull::dangling(),
@@ -55,26 +55,6 @@ impl<T: Copy + Default> AlignedBuf<T> {
             .expect("AlignedBuf size overflow");
         let align = ALIGN.max(std::mem::align_of::<T>());
         Layout::from_size_align(size, align).expect("invalid AlignedBuf layout")
-    }
-
-    /// Number of elements in the buffer.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the buffer holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Raw pointer to the first element.
-    pub fn as_ptr(&self) -> *const T {
-        self.ptr.as_ptr()
-    }
-
-    /// Raw mutable pointer to the first element.
-    pub fn as_mut_ptr(&mut self) -> *mut T {
-        self.ptr.as_ptr()
     }
 }
 

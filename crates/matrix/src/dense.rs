@@ -33,7 +33,7 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// # Panics
     /// Panics if `ld < cols` (unless both are zero).
-    pub fn zeros_with_ld(rows: usize, cols: usize, ld: usize) -> Self {
+    fn zeros_with_ld(rows: usize, cols: usize, ld: usize) -> Self {
         assert!(ld >= cols, "leading dimension {ld} < cols {cols}");
         let buf = AlignedBuf::zeroed(rows.checked_mul(ld).expect("matrix size overflow"));
         Self {
@@ -82,22 +82,10 @@ impl<T: Scalar> Matrix<T> {
         self.cols
     }
 
-    /// Leading dimension (row stride in elements).
-    pub fn ld(&self) -> usize {
-        self.ld
-    }
-
     /// Borrow row `i` (only the `cols` live elements, not the padding).
     pub fn row(&self, i: usize) -> &[T] {
         assert!(i < self.rows);
         &self.buf[i * self.ld..i * self.ld + self.cols]
-    }
-
-    /// Mutably borrow row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
-        assert!(i < self.rows);
-        let (ld, cols) = (self.ld, self.cols);
-        &mut self.buf[i * ld..i * ld + cols]
     }
 
     /// Underlying storage including padding (length `rows * ld`).
@@ -132,15 +120,9 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Returns the transposed matrix (fresh storage).
-    pub fn transposed(&self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn transposed(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Fills every live element with `value` (padding untouched).
-    pub fn fill(&mut self, value: T) {
-        for i in 0..self.rows {
-            self.row_mut(i).fill(value);
-        }
     }
 
     /// Swaps rows `a` and `b` in full width (used by DLASWP).
@@ -221,7 +203,7 @@ mod tests {
     fn zeros_shape_and_padding() {
         let m = Matrix::<f64>::zeros(3, 5);
         assert_eq!((m.rows(), m.cols()), (3, 5));
-        assert_eq!(m.ld(), 8, "ld rounds up to vector width");
+        assert_eq!(m.ld, 8, "ld rounds up to vector width");
         assert!(m.as_slice().iter().all(|&x| x == 0.0));
     }
 
@@ -264,7 +246,7 @@ mod tests {
     fn explicit_ld_is_respected() {
         let mut m = Matrix::<f64>::zeros_with_ld(2, 3, 10);
         m[(1, 2)] = 9.0;
-        assert_eq!(m.ld(), 10);
+        assert_eq!(m.ld, 10);
         assert_eq!(m.as_slice()[12], 9.0);
     }
 
@@ -291,6 +273,6 @@ mod tests {
         assert_eq!(m.rows(), 0);
         assert_eq!(m.as_slice().len(), 0);
         let n = Matrix::<f64>::zeros(4, 0);
-        assert_eq!(n.ld(), 0);
+        assert_eq!(n.ld, 0);
     }
 }

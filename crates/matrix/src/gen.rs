@@ -69,7 +69,7 @@ impl HplRng {
     }
 
     /// A generator positioned at absolute stream index `k` for `seed`.
-    pub fn at(seed: u64, k: u64) -> Self {
+    fn at(seed: u64, k: u64) -> Self {
         let mut rng = Self::new(seed);
         rng.jump(k);
         rng
@@ -130,7 +130,8 @@ impl MatGen {
 
     /// Generates a diagonally-dominant variant used by tests that need a
     /// well-conditioned matrix without pivot growth concerns.
-    pub fn matrix_dd<T: Scalar>(&self, n: usize) -> Matrix<T> {
+    #[cfg(test)]
+    pub(crate) fn matrix_dd<T: Scalar>(&self, n: usize) -> Matrix<T> {
         let mut m = self.matrix::<T>(n, n);
         for i in 0..n {
             let boost = T::from_f64(n as f64);

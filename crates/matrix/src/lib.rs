@@ -8,10 +8,10 @@
 //! * [`MatrixView`] / [`MatrixViewMut`] — borrowed rectangular windows with
 //!   the splitting operations LU factorization needs (panel / trailing
 //!   sub-matrix decompositions).
-//! * [`gen`] — the HPL-style pseudo-random matrix generator used to build
+//! * `gen` — the HPL-style pseudo-random matrix generator used to build
 //!   reproducible right-hand sides and coefficient matrices.
-//! * [`norms`] / [`residual`] — the ∞/1/Frobenius norms and the scaled
-//!   residual acceptance test from the HPL benchmark driver.
+//! * `norms` / [`residual`] — the ∞-norms and the scaled residual
+//!   acceptance test from the HPL benchmark driver.
 //!
 //! The matrices here are deliberately plain: all the architecture-specific
 //! packing (Knights Corner tile formats, Fig. 3 of the paper) lives in
@@ -19,18 +19,18 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod aligned;
-pub mod dense;
-pub mod gen;
-pub mod norms;
+mod aligned;
+mod dense;
+mod gen;
+mod norms;
 pub mod residual;
-pub mod scalar;
-pub mod view;
+mod scalar;
+mod view;
 
-pub use aligned::AlignedBuf;
 pub use dense::Matrix;
 pub use gen::{HplRng, MatGen};
-pub use residual::{hpl_residual, solve_quality, ResidualReport};
+pub use residual::{hpl_residual, ResidualReport};
 pub use scalar::Scalar;
 pub use view::{MatrixView, MatrixViewMut};

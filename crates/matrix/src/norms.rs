@@ -8,33 +8,22 @@ use crate::scalar::Scalar;
 use crate::view::MatrixView;
 
 /// ∞-norm of a vector: max |x_i|.
-pub fn vec_norm_inf<T: Scalar>(x: &[T]) -> f64 {
+pub(crate) fn vec_norm_inf<T: Scalar>(x: &[T]) -> f64 {
     x.iter().map(|v| v.to_f64().abs()).fold(0.0, f64::max)
-}
-
-/// 1-norm of a vector: Σ |x_i|.
-pub fn vec_norm_one<T: Scalar>(x: &[T]) -> f64 {
-    x.iter().map(|v| v.to_f64().abs()).sum()
-}
-
-/// 2-norm of a vector.
-pub fn vec_norm_two<T: Scalar>(x: &[T]) -> f64 {
-    x.iter()
-        .map(|v| v.to_f64() * v.to_f64())
-        .sum::<f64>()
-        .sqrt()
 }
 
 /// ∞-norm of a matrix: max row sum of |a_ij| (the norm HPL's residual
 /// formula uses).
-pub fn mat_norm_inf<T: Scalar>(a: &MatrixView<'_, T>) -> f64 {
+pub(crate) fn mat_norm_inf<T: Scalar>(a: &MatrixView<'_, T>) -> f64 {
     (0..a.rows())
         .map(|i| a.row(i).iter().map(|v| v.to_f64().abs()).sum::<f64>())
         .fold(0.0, f64::max)
 }
 
-/// 1-norm of a matrix: max column sum of |a_ij|.
-pub fn mat_norm_one<T: Scalar>(a: &MatrixView<'_, T>) -> f64 {
+/// 1-norm of a matrix: max column sum of |a_ij| — the tests' oracle for
+/// [`mat_norm_inf`] on the transpose.
+#[cfg(test)]
+fn mat_norm_one<T: Scalar>(a: &MatrixView<'_, T>) -> f64 {
     let mut sums = vec![0.0f64; a.cols()];
     for i in 0..a.rows() {
         for (j, v) in a.row(i).iter().enumerate() {
@@ -42,18 +31,6 @@ pub fn mat_norm_one<T: Scalar>(a: &MatrixView<'_, T>) -> f64 {
         }
     }
     sums.into_iter().fold(0.0, f64::max)
-}
-
-/// Frobenius norm of a matrix.
-pub fn mat_norm_fro<T: Scalar>(a: &MatrixView<'_, T>) -> f64 {
-    let mut acc = 0.0f64;
-    for i in 0..a.rows() {
-        for v in a.row(i) {
-            let x = v.to_f64();
-            acc += x * x;
-        }
-    }
-    acc.sqrt()
 }
 
 #[cfg(test)]
@@ -65,8 +42,6 @@ mod tests {
     fn vector_norms() {
         let x = [3.0f64, -4.0, 1.0];
         assert_eq!(vec_norm_inf(&x), 4.0);
-        assert_eq!(vec_norm_one(&x), 8.0);
-        assert!((vec_norm_two(&x) - 26.0f64.sqrt()).abs() < 1e-15);
     }
 
     #[test]
@@ -74,8 +49,6 @@ mod tests {
         // [[1, -2], [-3, 4]]
         let m = Matrix::<f64>::from_rows(&[&[1.0, -2.0], &[-3.0, 4.0]]);
         assert_eq!(mat_norm_inf(&m.view()), 7.0); // row 1: 3+4
-        assert_eq!(mat_norm_one(&m.view()), 6.0); // col 1: 2+4
-        assert!((mat_norm_fro(&m.view()) - 30.0f64.sqrt()).abs() < 1e-15);
     }
 
     #[test]

@@ -97,24 +97,6 @@ pub fn hpl_residual<T: Scalar>(a: &MatrixView<'_, T>, x: &[T], b: &[T]) -> Resid
     }
 }
 
-/// Convenience wrapper that also reports the achieved forward error when the
-/// true solution is known (tests only; HPL itself never knows `x_true`).
-pub fn solve_quality<T: Scalar>(
-    a: &MatrixView<'_, T>,
-    x: &[T],
-    b: &[T],
-    x_true: Option<&[T]>,
-) -> (ResidualReport, Option<f64>) {
-    let report = hpl_residual(a, x, b);
-    let fwd = x_true.map(|xt| {
-        x.iter()
-            .zip(xt)
-            .map(|(xi, ti)| (xi.to_f64() - ti.to_f64()).abs())
-            .fold(0.0, f64::max)
-    });
-    (report, fwd)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,14 +183,5 @@ mod tests {
         let a = Matrix::<f64>::zeros(0, 0);
         let report = hpl_residual(&a.view(), &[], &[]);
         assert!(report.passed);
-    }
-
-    #[test]
-    fn forward_error_reported() {
-        let a = Matrix::<f64>::identity(4);
-        let b = vec![1.0, 2.0, 3.0, 4.0];
-        let x = vec![1.0, 2.0, 3.0, 4.5];
-        let (_, fwd) = solve_quality(&a.view(), &x, &b, Some(&b));
-        assert_eq!(fwd, Some(0.5));
     }
 }

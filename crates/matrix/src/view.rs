@@ -25,7 +25,7 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
     ///
     /// # Panics
     /// Panics when the slice is too short to hold the described window.
-    pub fn new(data: &'a [T], rows: usize, cols: usize, ld: usize) -> Self {
+    pub(crate) fn new(data: &'a [T], rows: usize, cols: usize, ld: usize) -> Self {
         assert!(ld >= cols || rows <= 1, "ld {ld} < cols {cols}");
         if rows > 0 && cols > 0 {
             let need = (rows - 1) * ld + cols;
@@ -46,14 +46,6 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
     /// Number of columns.
     pub fn cols(&self) -> usize {
         self.cols
-    }
-    /// Row stride in elements.
-    pub fn ld(&self) -> usize {
-        self.ld
-    }
-    /// True when the window contains no elements.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0 || self.cols == 0
     }
 
     /// Element at `(i, j)`.
@@ -78,22 +70,6 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
             r0 * self.ld + c0
         };
         MatrixView::new(&self.data[start..], nr, nc, self.ld)
-    }
-
-    /// Splits into (top `at` rows, remaining rows).
-    pub fn split_rows(&self, at: usize) -> (MatrixView<'a, T>, MatrixView<'a, T>) {
-        (
-            self.sub(0, 0, at, self.cols),
-            self.sub(at, 0, self.rows - at, self.cols),
-        )
-    }
-
-    /// Splits into (left `at` columns, remaining columns).
-    pub fn split_cols(&self, at: usize) -> (MatrixView<'a, T>, MatrixView<'a, T>) {
-        (
-            self.sub(0, 0, self.rows, at),
-            self.sub(0, at, self.rows, self.cols - at),
-        )
     }
 
     /// Copies the window into an owned [`crate::Matrix`].
@@ -121,7 +97,7 @@ impl<'a, T: Scalar> MatrixViewMut<'a, T> {
     ///
     /// # Panics
     /// Panics when the slice is too short to hold the described window.
-    pub fn new(data: &'a mut [T], rows: usize, cols: usize, ld: usize) -> Self {
+    pub(crate) fn new(data: &'a mut [T], rows: usize, cols: usize, ld: usize) -> Self {
         assert!(ld >= cols || rows <= 1, "ld {ld} < cols {cols}");
         if rows > 0 && cols > 0 {
             let need = (rows - 1) * ld + cols;
@@ -144,14 +120,6 @@ impl<'a, T: Scalar> MatrixViewMut<'a, T> {
     pub fn cols(&self) -> usize {
         self.cols
     }
-    /// Row stride in elements.
-    pub fn ld(&self) -> usize {
-        self.ld
-    }
-    /// True when the window contains no elements.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0 || self.cols == 0
-    }
 
     /// Element at `(i, j)`.
     #[inline]
@@ -168,12 +136,6 @@ impl<'a, T: Scalar> MatrixViewMut<'a, T> {
         debug_assert!(i < self.rows && j < self.cols);
         // SAFETY: in-bounds, and &mut self guarantees exclusivity.
         unsafe { &mut *self.ptr.add(i * self.ld + j) }
-    }
-
-    /// Sets element `(i, j)` to `v`.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: T) {
-        *self.at_mut(i, j) = v;
     }
 
     /// Row `i` as an immutable slice.
@@ -341,24 +303,12 @@ mod tests {
     }
 
     #[test]
-    fn split_rows_and_cols_cover_everything() {
-        let m = sample();
-        let (top, bot) = m.view().split_rows(2);
-        assert_eq!(top.rows(), 2);
-        assert_eq!(bot.at(0, 0), 20.0);
-        let (l, r) = m.view().split_cols(4);
-        assert_eq!(l.cols(), 4);
-        assert_eq!(r.at(0, 0), 4.0);
-        assert_eq!(r.at(5, 1), 55.0);
-    }
-
-    #[test]
     fn mut_split_cols_disjoint_writes() {
         let mut m = sample();
         let (mut l, mut r) = m.view_mut().split_cols_mut(3);
-        l.set(0, 0, -1.0);
-        r.set(0, 0, -2.0);
-        r.set(5, 2, -3.0);
+        *l.at_mut(0, 0) = -1.0;
+        *r.at_mut(0, 0) = -2.0;
+        *r.at_mut(5, 2) = -3.0;
         assert_eq!(m[(0, 0)], -1.0);
         assert_eq!(m[(0, 3)], -2.0);
         assert_eq!(m[(5, 5)], -3.0);
@@ -410,8 +360,8 @@ mod tests {
     fn empty_windows_are_fine() {
         let m = Matrix::<f64>::zeros(4, 4);
         let v = m.sub(4, 0, 0, 4);
-        assert!(v.is_empty());
+        assert_eq!((v.rows(), v.cols()), (0, 4));
         let v2 = m.sub(0, 4, 4, 0);
-        assert!(v2.is_empty());
+        assert_eq!((v2.rows(), v2.cols()), (4, 0));
     }
 }

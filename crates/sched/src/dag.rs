@@ -41,17 +41,6 @@ pub enum Task {
     },
 }
 
-/// Read-only view of scheduler progress.
-#[derive(Clone, Debug)]
-pub struct DagSnapshot {
-    /// Updates applied per panel.
-    pub progress: Vec<usize>,
-    /// Factored flags.
-    pub factored: Vec<bool>,
-    /// Tasks currently checked out.
-    pub in_flight: usize,
-}
-
 #[derive(Debug)]
 struct Inner {
     /// progress[j] = number of update stages applied to panel j.
@@ -89,11 +78,6 @@ impl DagScheduler {
             }),
             npanels,
         }
-    }
-
-    /// Number of panels.
-    pub fn npanels(&self) -> usize {
-        self.npanels
     }
 
     /// Fetches the next runnable task, or `None` if nothing is currently
@@ -205,16 +189,6 @@ impl DagScheduler {
     pub fn is_drained(&self) -> bool {
         let g = self.inner.lock().unwrap();
         g.in_flight == 0 && g.factored.iter().all(|&f| f)
-    }
-
-    /// Progress snapshot for monitoring and tests.
-    pub fn snapshot(&self) -> DagSnapshot {
-        let g = self.inner.lock().unwrap();
-        DagSnapshot {
-            progress: g.progress.clone(),
-            factored: g.factored.clone(),
-            in_flight: g.in_flight,
-        }
     }
 
     /// Total number of tasks a full run must execute:

@@ -37,11 +37,6 @@ impl GroupPlan {
             threads_per_group,
         }
     }
-
-    /// Total threads in the plan.
-    pub fn total_threads(&self) -> usize {
-        self.groups * self.threads_per_group
-    }
 }
 
 /// The group-local handoff: the master publishes either a task or the
@@ -158,7 +153,6 @@ mod tests {
     fn plan_partitioning() {
         let p = GroupPlan::new(240, 4);
         assert_eq!(p.groups, 60);
-        assert_eq!(p.total_threads(), 240);
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub struct TileDeque {
     /// low 32 bits = back + 1 (one past the next tile for the host).
     /// Empty when front == back + 1 boundary crosses, i.e. front >= lo.
     state: AtomicU64,
-    count: u32,
 }
 
 impl TileDeque {
@@ -31,13 +30,7 @@ impl TileDeque {
         let count = u32::try_from(count).expect("tile count fits in u32");
         Self {
             state: AtomicU64::new(pack(0, count)),
-            count,
         }
-    }
-
-    /// Total tiles.
-    pub fn count(&self) -> usize {
-        self.count as usize
     }
 
     /// Device side: claims the lowest unclaimed tile (forward order).
@@ -81,7 +74,7 @@ impl TileDeque {
     }
 
     /// Tiles not yet claimed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         let (front, lo) = unpack(self.state.load(Ordering::Acquire));
         lo.saturating_sub(front) as usize
     }

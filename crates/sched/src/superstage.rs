@@ -26,11 +26,6 @@ pub struct SuperStage {
 }
 
 impl SuperStage {
-    /// Number of stages covered.
-    pub fn len(&self) -> usize {
-        self.end_stage - self.first_stage
-    }
-
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.first_stage >= self.end_stage
@@ -180,7 +175,6 @@ mod tests {
             end_stage: 7,
             threads_per_group: 8,
         };
-        assert_eq!(ss.len(), 4);
         assert!(!ss.is_empty());
     }
 }

@@ -8,7 +8,7 @@
 //! exact bytes a cold one computed.
 
 use crate::spec::{CampaignSpec, FaultSpec};
-use crate::store::Record;
+use crate::store::{field, hex_f64, Record};
 use phi_faults::FaultPlan;
 use phi_hpl::hybrid::simulate_cluster;
 use phi_hpl::{simulate_cluster_faulty, FtPolicy};
@@ -46,7 +46,7 @@ pub struct CampaignOutcome {
 
 impl CampaignOutcome {
     /// Fractional slowdown versus the healthy run.
-    pub fn overhead(&self) -> f64 {
+    pub(crate) fn overhead(&self) -> f64 {
         if self.healthy_time_s > 0.0 {
             self.time_s / self.healthy_time_s - 1.0
         } else {
@@ -138,14 +138,6 @@ impl Record for CampaignOutcome {
     }
 
     fn parse_fields(fields: &str) -> Option<Self> {
-        fn field<'a>(tokens: &'a [&str], name: &str) -> Option<&'a str> {
-            tokens
-                .iter()
-                .find_map(|t| t.strip_prefix(name)?.strip_prefix('='))
-        }
-        fn bits(s: &str) -> Option<f64> {
-            Some(f64::from_bits(u64::from_str_radix(s, 16).ok()?))
-        }
         let mut lines = fields.lines();
         let key = u64::from_str_radix(lines.next()?.strip_prefix("key ")?, 16).ok()?;
         let t: Vec<&str> = lines.next()?.strip_prefix("times ")?.split(' ').collect();
@@ -156,16 +148,16 @@ impl Record for CampaignOutcome {
         }
         Some(Self {
             key,
-            time_s: bits(field(&t, "t")?)?,
-            gflops: bits(field(&t, "g")?)?,
-            healthy_time_s: bits(field(&t, "ht")?)?,
-            healthy_gflops: bits(field(&t, "hg")?)?,
+            time_s: hex_f64(field(&t, "t")?)?,
+            gflops: hex_f64(field(&t, "g")?)?,
+            healthy_time_s: hex_f64(field(&t, "ht")?)?,
+            healthy_gflops: hex_f64(field(&t, "hg")?)?,
             events: field(&f, "ev")?.parse().ok()?,
             cards_lost: field(&f, "cards")?.parse().ok()?,
             hosts_lost: field(&f, "hosts")?.parse().ok()?,
             blocks_moved: field(&f, "blocks")?.parse().ok()?,
-            checkpoint_s: bits(field(&f, "ck")?)?,
-            recovery_s: bits(field(&f, "rec")?)?,
+            checkpoint_s: hex_f64(field(&f, "ck")?)?,
+            recovery_s: hex_f64(field(&f, "rec")?)?,
             fingerprint: fp,
         })
     }

@@ -27,7 +27,7 @@ pub enum ServeError {
 
 impl ServeError {
     /// Shorthand for an [`ServeError::InvalidSpec`].
-    pub fn invalid(reason: impl Into<String>) -> Self {
+    pub(crate) fn invalid(reason: impl Into<String>) -> Self {
         ServeError::InvalidSpec {
             reason: reason.into(),
         }

@@ -43,19 +43,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod campaign;
-pub mod error;
-pub mod service;
-pub mod spec;
+mod campaign;
+mod error;
+mod service;
+mod spec;
 pub mod store;
-pub mod table;
+mod table;
 
 pub use campaign::{run_campaign, CampaignOutcome};
 pub use error::ServeError;
 pub use service::{CampaignService, ServiceStats};
 pub use spec::{CampaignSpec, FaultSpec};
-pub use store::{Record, ResultStore, StoreReadError};
+pub use store::ResultStore;
 pub use table::{Agg, Column, Filter, FilterOp, ResultTable};
 
 /// FNV-1a, the workspace's one fingerprint hash (spec keys and store

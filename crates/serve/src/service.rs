@@ -59,7 +59,7 @@ pub struct ServiceStats {
 
 impl ServiceStats {
     /// Requests that did not run a simulation.
-    pub fn hits(&self) -> usize {
+    fn hits(&self) -> usize {
         self.requests - self.executed
     }
 
@@ -118,11 +118,6 @@ impl CampaignService {
     /// `workers = 0` picks `available_parallelism` (capped at 8).
     pub fn open(dir: impl Into<std::path::PathBuf>, workers: usize) -> Result<Self, ServeError> {
         Ok(Self::build(Some(ResultStore::open(dir)?), workers))
-    }
-
-    /// A service over an existing store handle.
-    pub fn with_store(store: ResultStore, workers: usize) -> Self {
-        Self::build(Some(store), workers)
     }
 
     /// A purely in-process service: no persistence, same dedup.
@@ -290,11 +285,6 @@ impl CampaignService {
         ResultTable::new(rows)
     }
 
-    /// The persistent store, when the service has one.
-    pub fn store(&self) -> Option<&ResultStore> {
-        self.inner.store.as_ref()
-    }
-
     /// Drains queued work and stops the pool. Requests after shutdown
     /// return [`ServeError::PoolShutdown`]. Called implicitly on drop.
     pub fn shutdown(&mut self) {
@@ -354,6 +344,7 @@ fn worker_loop(inner: &Inner, rx: &Mutex<mpsc::Receiver<Job>>) {
 mod tests {
     use super::*;
     use crate::store::serialize_record;
+    use crate::table::{Agg, Column};
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -414,7 +405,7 @@ mod tests {
         assert_eq!(again.fingerprint, first.fingerprint);
         assert_eq!(again.time_s.to_bits(), first.time_s.to_bits());
         // And the bytes on disk are exactly the cold run's record.
-        let store = warm.store().unwrap();
+        let store = ResultStore::open(&dir).unwrap();
         let bytes = std::fs::read(store.record_path::<CampaignOutcome>(spec.key())).unwrap();
         assert_eq!(bytes, serialize_record(&*first).into_bytes());
         let _ = std::fs::remove_dir_all(&dir);
@@ -485,6 +476,7 @@ mod tests {
         assert_eq!(stats.hits(), 6);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         // The result table snapshot holds one row per unique spec.
-        assert_eq!(service.table().len(), 6);
+        let rows = service.table().aggregate(Column::TimeS, Agg::Count);
+        assert_eq!(rows, Some(6.0));
     }
 }

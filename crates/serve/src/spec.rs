@@ -19,11 +19,11 @@ use phi_hpl::hybrid::{HybridConfig, Lookahead, WorkDivision};
 
 /// Bumped whenever spec canonicalization or the executed simulation
 /// changes meaning, so stale store entries can never be served.
-pub const SPEC_VERSION: u64 = 1;
+const SPEC_VERSION: u64 = 1;
 
 /// Most fault events one campaign may schedule (cascade fan-out adds
 /// more at resolution time; this bounds the *root* draws).
-pub const MAX_EVENTS: usize = 64;
+const MAX_EVENTS: usize = 64;
 
 /// The seeded fault plan a campaign runs under.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -47,7 +47,7 @@ pub enum FaultSpec {
 impl FaultSpec {
     /// The fleet campaigns' default draw: 3 mixed events over 1.2× the
     /// healthy run.
-    pub fn default_campaign(seed: u64) -> Self {
+    pub(crate) fn default_campaign(seed: u64) -> Self {
         FaultSpec::Campaign {
             seed,
             events: 3,
@@ -145,7 +145,7 @@ impl CampaignSpec {
     }
 
     /// The simulator configuration this spec denotes.
-    pub fn hybrid_config(&self) -> HybridConfig {
+    pub(crate) fn hybrid_config(&self) -> HybridConfig {
         let mut cfg = HybridConfig::new(
             self.n,
             ProcessGrid::new(self.grid.0, self.grid.1),
@@ -237,7 +237,7 @@ impl CampaignSpec {
         c
     }
 
-    /// The content-addressed key: FNV-1a over [`SPEC_VERSION`] and
+    /// The content-addressed key: FNV-1a over `SPEC_VERSION` and
     /// every canonical field, `f64`s as exact bit patterns.
     pub fn key(&self) -> u64 {
         let c = self.canonical();
@@ -285,27 +285,6 @@ impl CampaignSpec {
             }
         }
         h.finish()
-    }
-
-    /// One-line human-readable form for reports and logs.
-    pub fn describe(&self) -> String {
-        let faults = match self.faults {
-            FaultSpec::None => "healthy".to_string(),
-            FaultSpec::Campaign {
-                seed,
-                events,
-                scope,
-                ..
-            } => format!("{} x{events} seed={seed:#x}", scope.name()),
-        };
-        format!(
-            "grid={}x{} N={} NB={} bcast={} {faults}",
-            self.grid.0,
-            self.grid.1,
-            self.n,
-            self.nb,
-            self.bcast.name()
-        )
     }
 }
 
@@ -448,18 +427,5 @@ mod tests {
         assert_eq!(keys.len(), 8, "spec variants must key apart");
         // Keys are stable across calls.
         assert_eq!(base.key(), CampaignSpec::paper_cluster_campaign(1).key());
-    }
-
-    #[test]
-    fn describe_names_the_campaign() {
-        let s = CampaignSpec::paper_cluster_campaign(0xF00);
-        let d = s.describe();
-        assert!(
-            d.contains("10x10") && d.contains("mixed") && d.contains("0xf00"),
-            "{d}"
-        );
-        assert!(CampaignSpec::single_node(20_000, 1200)
-            .describe()
-            .contains("healthy"));
     }
 }

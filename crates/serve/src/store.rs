@@ -17,7 +17,7 @@
 use crate::Fnv;
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Why a stored record could not be read. `Io` is the environment's
 /// fault (permissions, disk); `Corrupt` means the file exists but its
@@ -93,6 +93,21 @@ pub trait Record: Sized {
     fn parse_fields(fields: &str) -> Option<Self>;
 }
 
+/// The value of the `name=<value>` token among one field line's
+/// space-separated tokens — the reading side of every record's
+/// `key=value` lines.
+pub fn field<'a>(tokens: &'a [&str], name: &str) -> Option<&'a str> {
+    tokens
+        .iter()
+        .find_map(|t| t.strip_prefix(name)?.strip_prefix('='))
+}
+
+/// An `f64` back from its exact bit pattern in hex — the inverse of the
+/// `{:016x}` of `to_bits` that `write_fields` emits.
+pub fn hex_f64(s: &str) -> Option<f64> {
+    Some(f64::from_bits(u64::from_str_radix(s, 16).ok()?))
+}
+
 /// The full byte serialization of a record: header, fields and the
 /// `end <fnv>` trailer over every preceding byte.
 pub fn serialize_record<R: Record>(r: &R) -> String {
@@ -108,7 +123,7 @@ pub fn serialize_record<R: Record>(r: &R) -> String {
 
 /// Splits off and verifies the `end <fnv>` trailer, returning the body
 /// it covers. Any truncation or bit flip fails here.
-pub fn verify_trailer(text: &str) -> Option<&str> {
+fn verify_trailer(text: &str) -> Option<&str> {
     let (_, last) = text.strip_suffix('\n')?.rsplit_once('\n')?;
     let stored = u64::from_str_radix(last.strip_prefix("end ")?, 16).ok()?;
     let body = &text[..text.len() - last.len() - 1];
@@ -127,7 +142,7 @@ pub fn parse_record<R: Record>(text: &str) -> Option<R> {
 
 /// A human-readable first guess at what is wrong with an unparseable
 /// record, for the `Corrupt` error message.
-pub fn diagnose<R: Record>(text: &str) -> &'static str {
+fn diagnose<R: Record>(text: &str) -> &'static str {
     if text.is_empty() {
         "empty file"
     } else if !text.starts_with(R::HEADER) {
@@ -218,11 +233,6 @@ impl ResultStore {
         }
         keys.sort_unstable();
         Ok(keys)
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 

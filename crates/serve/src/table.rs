@@ -39,40 +39,8 @@ pub enum Column {
 }
 
 impl Column {
-    /// Every column, in display order.
-    pub const ALL: [Column; 11] = [
-        Column::TimeS,
-        Column::Gflops,
-        Column::HealthyTimeS,
-        Column::HealthyGflops,
-        Column::Events,
-        Column::CardsLost,
-        Column::HostsLost,
-        Column::BlocksMoved,
-        Column::CheckpointS,
-        Column::RecoveryS,
-        Column::Overhead,
-    ];
-
-    /// Short machine-friendly name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Column::TimeS => "time_s",
-            Column::Gflops => "gflops",
-            Column::HealthyTimeS => "healthy_time_s",
-            Column::HealthyGflops => "healthy_gflops",
-            Column::Events => "events",
-            Column::CardsLost => "cards_lost",
-            Column::HostsLost => "hosts_lost",
-            Column::BlocksMoved => "blocks_moved",
-            Column::CheckpointS => "checkpoint_s",
-            Column::RecoveryS => "recovery_s",
-            Column::Overhead => "overhead",
-        }
-    }
-
     /// The column's value in one row (counts widen to `f64`).
-    pub fn value(self, row: &CampaignOutcome) -> f64 {
+    fn value(self, row: &CampaignOutcome) -> f64 {
         match self {
             Column::TimeS => row.time_s,
             Column::Gflops => row.gflops,
@@ -124,7 +92,7 @@ impl Filter {
     }
 
     /// Whether `row` satisfies the predicate.
-    pub fn matches(&self, row: &CampaignOutcome) -> bool {
+    fn matches(&self, row: &CampaignOutcome) -> bool {
         let v = self.column.value(row);
         match self.op {
             FilterOp::Lt => v < self.value,
@@ -161,7 +129,7 @@ pub struct ResultTable {
 impl ResultTable {
     /// Builds a table from rows, sorting by key and dropping duplicate
     /// keys (last write wins) so the contents are canonical.
-    pub fn new(mut rows: Vec<CampaignOutcome>) -> Self {
+    pub(crate) fn new(mut rows: Vec<CampaignOutcome>) -> Self {
         rows.sort_by_key(|r| r.key);
         rows.dedup_by_key(|r| r.key);
         ResultTable { rows }
@@ -180,21 +148,6 @@ impl ResultTable {
         Ok(ResultTable::new(rows))
     }
 
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The rows, in key order.
-    pub fn rows(&self) -> &[CampaignOutcome] {
-        &self.rows
-    }
-
     /// Rows satisfying every predicate (conjunction), as a new table.
     pub fn filter(&self, predicates: &[Filter]) -> ResultTable {
         ResultTable {
@@ -208,7 +161,7 @@ impl ResultTable {
     }
 
     /// One column across every row, in key order.
-    pub fn project(&self, column: Column) -> Vec<f64> {
+    fn project(&self, column: Column) -> Vec<f64> {
         self.rows.iter().map(|r| column.value(r)).collect()
     }
 
@@ -229,25 +182,6 @@ impl ResultTable {
             Agg::Min => values.iter().copied().reduce(f64::min),
             Agg::Max => values.iter().copied().reduce(f64::max),
         }
-    }
-
-    /// A fixed-width text rendering of selected columns (diagnostics
-    /// and the load-generator report).
-    pub fn render(&self, columns: &[Column]) -> String {
-        let mut out = String::new();
-        out.push_str("key             ");
-        for c in columns {
-            out.push_str(&format!(" {:>14}", c.name()));
-        }
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&format!("{:016x}", r.key));
-            for c in columns {
-                out.push_str(&format!(" {:>14.4}", c.value(r)));
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -300,10 +234,10 @@ mod tests {
     #[test]
     fn rows_are_key_ordered_and_deduped() {
         let t = fixture();
-        let keys: Vec<u64> = t.rows().iter().map(|r| r.key).collect();
+        let keys: Vec<u64> = t.rows.iter().map(|r| r.key).collect();
         assert_eq!(keys, [1, 2, 3]);
-        let dup = ResultTable::new([t.rows().to_vec(), t.rows().to_vec()].concat());
-        assert_eq!(dup.len(), 3, "duplicate keys collapse");
+        let dup = ResultTable::new([t.rows.clone(), t.rows.clone()].concat());
+        assert_eq!(dup.rows.len(), 3, "duplicate keys collapse");
     }
 
     #[test]
@@ -330,16 +264,16 @@ mod tests {
     fn filter_is_a_conjunction_and_projection_keeps_key_order() {
         let t = fixture();
         let faulty = t.filter(&[Filter::new(Column::Events, FilterOp::Gt, 0.0)]);
-        assert_eq!(faulty.len(), 2);
+        assert_eq!(faulty.rows.len(), 2);
         let slow_and_faulty = t.filter(&[
             Filter::new(Column::Events, FilterOp::Gt, 0.0),
             Filter::new(Column::TimeS, FilterOp::Ge, 150.0),
         ]);
-        assert_eq!(slow_and_faulty.len(), 1);
-        assert_eq!(slow_and_faulty.rows()[0].key, 2);
+        assert_eq!(slow_and_faulty.rows.len(), 1);
+        assert_eq!(slow_and_faulty.rows[0].key, 2);
         assert_eq!(t.project(Column::TimeS), vec![100.0, 150.0, 110.0]);
         let none = t.filter(&[Filter::new(Column::HostsLost, FilterOp::Eq, 9.0)]);
-        assert!(none.is_empty());
+        assert!(none.rows.is_empty());
     }
 
     #[test]
@@ -348,30 +282,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = ResultStore::open(&dir).unwrap();
         let t = fixture();
-        for r in t.rows() {
+        for r in &t.rows {
             store.put(r.key, r).unwrap();
         }
         let back = ResultTable::load(&store).unwrap();
-        assert_eq!(back.len(), t.len());
-        for (a, b) in back.rows().iter().zip(t.rows()) {
-            assert_eq!(a, b);
-        }
+        assert_eq!(back.rows, t.rows);
         // A corrupt record is skipped, not fatal.
         std::fs::write(store.record_path::<CampaignOutcome>(2), "junk\n").unwrap();
         let partial = ResultTable::load(&store).unwrap();
-        assert_eq!(partial.len(), 2);
+        assert_eq!(partial.rows.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn render_lists_every_requested_column() {
-        let t = fixture();
-        let text = t.render(&[Column::TimeS, Column::Gflops, Column::Overhead]);
-        assert!(text.contains("time_s"));
-        assert!(text.contains("overhead"));
-        assert_eq!(text.lines().count(), 4, "header + 3 rows");
-        for c in Column::ALL {
-            assert!(!c.name().is_empty());
-        }
     }
 }

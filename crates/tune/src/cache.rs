@@ -18,17 +18,17 @@ use crate::space::{Candidate, MachineConfig, TuneSpace};
 use phi_fabric::BcastScheme;
 use phi_hpl::hybrid::{Lookahead, WorkDivision};
 use phi_hpl::GigaflopsReport;
-use phi_serve::store::{serialize_record, Record, ResultStore};
+use phi_serve::store::{field, hex_f64, Record, ResultStore};
 use phi_serve::Fnv;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Why a cache record could not be read. This *is* the shared store's
 /// error: `Io` is the environment's fault (permissions, disk);
 /// `Corrupt` means the file exists but its bytes are not a valid
 /// record — truncated write, bit flip, wrong format. Callers treat
 /// `Corrupt` as "recompute and overwrite", never as a panic.
-pub use phi_serve::store::StoreReadError as CacheReadError;
+pub(crate) use phi_serve::store::StoreReadError as CacheReadError;
 
 /// Bumped whenever the search or serialization changes meaning, so old
 /// cache entries can never be mistaken for current ones. v2 added the
@@ -36,7 +36,7 @@ pub use phi_serve::store::StoreReadError as CacheReadError;
 const TUNER_VERSION: u64 = 2;
 
 /// The content-addressed cache key of a tuning run.
-pub fn cache_key(machine: &MachineConfig, space: &TuneSpace, seed: u64) -> u64 {
+pub(crate) fn cache_key(machine: &MachineConfig, space: &TuneSpace, seed: u64) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(TUNER_VERSION);
     h.write_u64(machine.fingerprint());
@@ -63,45 +63,18 @@ impl TuneCache {
         })
     }
 
-    /// Wraps an existing store handle (e.g. the campaign service's),
-    /// so tuning results and campaign outcomes share one directory.
-    pub fn with_store(store: ResultStore) -> Self {
-        Self { store }
-    }
-
-    /// The file a key is stored under.
-    pub fn path(&self, key: u64) -> PathBuf {
-        self.store.record_path::<TuneOutcome>(key)
-    }
-
-    /// Loads the outcome stored under `key`, if any. A corrupt or
-    /// truncated file counts as a miss, not an error — the tuner simply
-    /// re-runs and overwrites it.
-    pub fn load(&self, key: u64) -> io::Result<Option<TuneOutcome>> {
-        self.store.load::<TuneOutcome>(key)
-    }
-
-    /// Like [`load`](Self::load), but a damaged file surfaces as a
-    /// typed [`CacheReadError::Corrupt`] instead of a silent miss, so
-    /// callers can log or count the fallback. Never panics on truncated,
+    /// Loads the outcome stored under `key`, if any. A damaged file
+    /// surfaces as a typed [`CacheReadError::Corrupt`] rather than a
+    /// silent miss, so callers can log or count the fallback (the tuner
+    /// re-runs and overwrites it). Never panics on truncated,
     /// bit-flipped or empty files.
-    pub fn load_checked(&self, key: u64) -> Result<Option<TuneOutcome>, CacheReadError> {
+    pub(crate) fn load_checked(&self, key: u64) -> Result<Option<TuneOutcome>, CacheReadError> {
         self.store.load_checked::<TuneOutcome>(key)
     }
 
     /// Stores an outcome under its own fingerprint.
-    pub fn store(&self, out: &TuneOutcome) -> io::Result<()> {
+    pub(crate) fn store(&self, out: &TuneOutcome) -> io::Result<()> {
         self.store.put(out.fingerprint, out)
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        self.store.dir()
-    }
-
-    /// The underlying shared store.
-    pub fn result_store(&self) -> &ResultStore {
-        &self.store
     }
 }
 
@@ -144,12 +117,6 @@ fn score_line(r: &GigaflopsReport) -> String {
     )
 }
 
-fn field<'a>(tokens: &'a [&str], name: &str) -> Option<&'a str> {
-    tokens
-        .iter()
-        .find_map(|t| t.strip_prefix(name)?.strip_prefix('='))
-}
-
 fn parse_cand(tokens: &[&str]) -> Option<Candidate> {
     let nb: usize = field(tokens, "nb")?.parse().ok()?;
     let lookahead = match field(tokens, "la")? {
@@ -161,7 +128,7 @@ fn parse_cand(tokens: &[&str]) -> Option<Candidate> {
     let division = match field(tokens, "div")? {
         "dyn" => WorkDivision::Dynamic,
         st => WorkDivision::Static {
-            card_fraction: f64::from_bits(u64::from_str_radix(st.strip_prefix("st:")?, 16).ok()?),
+            card_fraction: hex_f64(st.strip_prefix("st:")?)?,
         },
     };
     let bcast = match field(tokens, "bc")? {
@@ -181,8 +148,8 @@ fn parse_cand(tokens: &[&str]) -> Option<Candidate> {
 }
 
 fn parse_score(tokens: &[&str], n: usize) -> Option<GigaflopsReport> {
-    let time = f64::from_bits(u64::from_str_radix(field(tokens, "time")?, 16).ok()?);
-    let peak = f64::from_bits(u64::from_str_radix(field(tokens, "peak")?, 16).ok()?);
+    let time = hex_f64(field(tokens, "time")?)?;
+    let peak = hex_f64(field(tokens, "peak")?)?;
     if time <= 0.0 || time.is_nan() {
         return None;
     }
@@ -228,7 +195,7 @@ impl Record for TuneOutcome {
         let machine = MachineConfig {
             nodes: field(&mtoks, "nodes")?.parse().ok()?,
             cards_per_node: field(&mtoks, "cards")?.parse().ok()?,
-            host_mem_gib: f64::from_bits(u64::from_str_radix(field(&mtoks, "mem")?, 16).ok()?),
+            host_mem_gib: hex_f64(field(&mtoks, "mem")?)?,
             n: field(&mtoks, "n")?.parse().ok()?,
         };
         let evaluated: usize = lines.next()?.strip_prefix("evaluated ")?.parse().ok()?;
@@ -276,19 +243,11 @@ impl Record for TuneOutcome {
     }
 }
 
-/// The deterministic byte serialization of an outcome (wall time and
-/// the cache-hit flag excluded). The final `end <fnv>` line is an
-/// FNV-1a over every preceding byte, so truncations and bit flips are
-/// detectably corrupt rather than silently parseable.
-pub fn serialize(out: &TuneOutcome) -> String {
-    serialize_record(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::search::{tune, tune_cached, TuneOptions};
-    use phi_serve::store::parse_record;
+    use phi_serve::store::{parse_record, serialize_record};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("phi-tune-test-{}-{tag}", std::process::id()))
@@ -317,7 +276,10 @@ mod tests {
         let a = tune(&m, &space, &opts);
         let b = tune(&m, &space, &opts);
         assert_eq!(a.tuned, b.tuned);
-        assert_eq!(serialize(&a).as_bytes(), serialize(&b).as_bytes());
+        assert_eq!(
+            serialize_record(&a).as_bytes(),
+            serialize_record(&b).as_bytes()
+        );
 
         // A different machine fingerprint keys differently.
         let other = MachineConfig { n: 60_000, ..m };
@@ -354,8 +316,9 @@ mod tests {
         );
         assert_eq!(first.candidates_evaluated, second.candidates_evaluated);
         // The file on disk round-trips the serialization byte-exactly.
-        let bytes = std::fs::read(cache.path(first.fingerprint)).unwrap();
-        assert_eq!(bytes, serialize(&first).into_bytes());
+        let bytes =
+            std::fs::read(cache.store.record_path::<TuneOutcome>(first.fingerprint)).unwrap();
+        assert_eq!(bytes, serialize_record(&first).into_bytes());
 
         // A changed fingerprint (different machine) misses.
         let other = MachineConfig { n: 60_000, ..m };
@@ -375,7 +338,7 @@ mod tests {
             ..TuneOptions::default()
         };
         let out = tune(&m, &space, &opts);
-        let text = serialize(&out);
+        let text = serialize_record(&out);
         let back: TuneOutcome = parse_record(&text).expect("own serialization parses");
         assert_eq!(back.fingerprint, out.fingerprint);
         assert_eq!(back.machine, out.machine);
@@ -398,7 +361,7 @@ mod tests {
             assert_eq!(x.report.time_s.to_bits(), y.report.time_s.to_bits());
         }
         // Re-serializing the parsed outcome is byte-identical.
-        assert_eq!(serialize(&back).as_bytes(), text.as_bytes());
+        assert_eq!(serialize_record(&back).as_bytes(), text.as_bytes());
     }
 
     #[test]
@@ -447,7 +410,11 @@ mod tests {
         legacy.push_str(&format!("end {:016x}\n", h.finish()));
 
         // The migrated serializer still emits exactly the legacy bytes.
-        assert_eq!(serialize(&out), legacy, "on-disk format drifted from v2");
+        assert_eq!(
+            serialize_record(&out),
+            legacy,
+            "on-disk format drifted from v2"
+        );
 
         // And a legacy file dropped into a cache directory is a hit.
         let dir = tmp_dir("legacy");
@@ -455,9 +422,13 @@ mod tests {
         let cache = TuneCache::open(&dir).unwrap();
         let legacy_path = dir.join(format!("tune-{:016x}.txt", out.fingerprint));
         std::fs::write(&legacy_path, &legacy).unwrap();
-        assert_eq!(cache.path(out.fingerprint), legacy_path);
+        assert_eq!(
+            cache.store.record_path::<TuneOutcome>(out.fingerprint),
+            legacy_path
+        );
         let loaded = cache
-            .load(out.fingerprint)
+            .store
+            .load::<TuneOutcome>(out.fingerprint)
             .unwrap()
             .expect("legacy record loads");
         assert_eq!(loaded.tuned, out.tuned);
@@ -472,9 +443,13 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let _ = std::fs::remove_dir_all(&dir);
         let cache = TuneCache::open(&dir).unwrap();
-        std::fs::write(cache.path(0xDEAD), "not a cache file").unwrap();
-        assert!(cache.load(0xDEAD).unwrap().is_none());
-        assert!(cache.load(0xBEEF).unwrap().is_none());
+        std::fs::write(
+            cache.store.record_path::<TuneOutcome>(0xDEAD),
+            "not a cache file",
+        )
+        .unwrap();
+        assert!(cache.store.load::<TuneOutcome>(0xDEAD).unwrap().is_none());
+        assert!(cache.store.load::<TuneOutcome>(0xBEEF).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -490,11 +465,11 @@ mod tests {
             ..TuneOptions::default()
         };
         let good = tune(&m, &space, &opts);
-        let bytes = serialize(&good).into_bytes();
+        let bytes = serialize_record(&good).into_bytes();
         let key = good.fingerprint;
 
         // Empty file.
-        std::fs::write(cache.path(key), b"").unwrap();
+        std::fs::write(cache.store.record_path::<TuneOutcome>(key), b"").unwrap();
         match cache.load_checked(key) {
             Err(CacheReadError::Corrupt { reason, .. }) => assert_eq!(reason, "empty file"),
             other => panic!("expected Corrupt(empty), got {other:?}"),
@@ -503,7 +478,7 @@ mod tests {
         // Truncations at every prefix length must parse-fail or parse,
         // never panic (the full record is the only valid prefix).
         for cut in (0..bytes.len()).step_by(37) {
-            std::fs::write(cache.path(key), &bytes[..cut]).unwrap();
+            std::fs::write(cache.store.record_path::<TuneOutcome>(key), &bytes[..cut]).unwrap();
             assert!(
                 cache.load_checked(key).unwrap_or(None).is_none(),
                 "truncation at {cut} produced a record"
@@ -516,7 +491,7 @@ mod tests {
         for pos in (0..bytes.len()).step_by(11) {
             let mut flipped = bytes.clone();
             flipped[pos] ^= 0x10;
-            std::fs::write(cache.path(key), &flipped).unwrap();
+            std::fs::write(cache.store.record_path::<TuneOutcome>(key), &flipped).unwrap();
             match cache.load_checked(key) {
                 Err(CacheReadError::Corrupt { .. }) => {}
                 other => panic!("bit flip at {pos} not caught: {other:?}"),
@@ -524,16 +499,20 @@ mod tests {
         }
 
         // The lenient `load` maps every Corrupt to a miss.
-        std::fs::write(cache.path(key), "phi-tune cache v2\ngarbage").unwrap();
-        assert!(cache.load(key).unwrap().is_none());
+        std::fs::write(
+            cache.store.record_path::<TuneOutcome>(key),
+            "phi-tune cache v2\ngarbage",
+        )
+        .unwrap();
+        assert!(cache.store.load::<TuneOutcome>(key).unwrap().is_none());
 
         // And `tune_cached` recovers: recompute, overwrite, serve hits.
         let recomputed = tune_cached(&m, &space, &opts, &cache).unwrap();
         assert!(!recomputed.cache_hit);
         assert_eq!(recomputed.tuned, good.tuned);
         assert_eq!(
-            std::fs::read(cache.path(key)).unwrap(),
-            serialize(&recomputed).into_bytes(),
+            std::fs::read(cache.store.record_path::<TuneOutcome>(key)).unwrap(),
+            serialize_record(&recomputed).into_bytes(),
             "bad bytes must be overwritten with a valid record"
         );
         assert!(tune_cached(&m, &space, &opts, &cache).unwrap().cache_hit);

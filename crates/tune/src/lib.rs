@@ -33,33 +33,30 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cache;
-pub mod search;
-pub mod space;
+mod cache;
+mod search;
+mod space;
 pub mod workload;
 
-pub use cache::{CacheReadError, TuneCache};
-pub use search::{
-    striped_map, tune, tune_cached, ScoredCandidate, TuneOptions, TuneOutcome, TunedConfig,
-};
-pub use space::{Candidate, MachineConfig, TuneSpace};
-pub use workload::{
-    tune_spmv_blocking, tune_stencil_decomposition, SpmvBlockingChoice, StencilDecompChoice,
-};
+pub use cache::TuneCache;
+pub use search::{striped_map, tune, tune_cached, TuneOptions, TuneOutcome};
+pub use space::{MachineConfig, TuneSpace};
+pub use workload::{tune_spmv_blocking, tune_stencil_decomposition};
 
 /// The workspace's standard LCG (same multiplier/increment as the
 /// `phi-faults` plan generator): deterministic, seedable, no external
 /// dependency.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct TuneRng(u64);
+struct TuneRng(u64);
 
 impl TuneRng {
-    pub(crate) fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         TuneRng(seed.wrapping_add(0x9e3779b97f4a7c15))
     }
 
-    pub(crate) fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.0 = self
             .0
             .wrapping_mul(6364136223846793005)
@@ -70,7 +67,7 @@ impl TuneRng {
     }
 
     /// Uniform value in `0..n` (n > 0).
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
+    fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
     }
 }

@@ -4,7 +4,7 @@
 use crate::space::{Candidate, CandidateKey, MachineConfig, TuneSpace};
 use crate::{cache, TuneRng};
 use phi_hpl::hybrid::{simulate_cluster, simulate_cluster_calibrated, Lookahead};
-use phi_hpl::{GigaflopsReport, HplDat, HybridConfig};
+use phi_hpl::{GigaflopsReport, HplDat};
 use std::collections::BTreeSet;
 // lint:allow(seed-bypass): wall clock feeds progress reporting only,
 // never a tuning decision — scores replay bit-for-bit from the seed.
@@ -13,10 +13,10 @@ use std::time::Instant;
 /// ε of the selection rule: among finalists within this fraction of the
 /// best score (and no slower than the paper baseline), the smallest NB
 /// wins.
-pub const EPSILON: f64 = 0.01;
+const EPSILON: f64 = 0.01;
 
 /// Rows kept in the persisted score table.
-pub const MAX_TABLE: usize = 16;
+const MAX_TABLE: usize = 16;
 
 /// Knobs of a tuning run. All defaults are deterministic; `threads`
 /// only changes wall time, never the result (evaluations merge by
@@ -79,7 +79,7 @@ pub struct TunedConfig {
 
 impl TunedConfig {
     /// Packs a winning candidate.
-    pub fn from_candidate(n: usize, c: &Candidate) -> Self {
+    pub(crate) fn from_candidate(n: usize, c: &Candidate) -> Self {
         Self {
             n,
             nb: c.nb,
@@ -99,11 +99,6 @@ impl TunedConfig {
             bcast: self.bcast,
             grid: self.grid,
         }
-    }
-
-    /// The simulator configuration (for re-running the tuned point).
-    pub fn hybrid_config(&self, machine: &MachineConfig) -> HybridConfig {
-        self.candidate().config(machine)
     }
 
     /// The tuned plan as an [`HplDat`] — `dat.render()` emits the
@@ -141,7 +136,7 @@ pub struct TuneOutcome {
     pub baseline_report: GigaflopsReport,
     /// Total candidate evaluations across all phases.
     pub candidates_evaluated: usize,
-    /// Final score table, best first (top [`MAX_TABLE`] rows).
+    /// Final score table, best first (top `MAX_TABLE` rows).
     pub table: Vec<ScoredCandidate>,
     /// Whether this outcome was served from the tuning cache.
     pub cache_hit: bool,
@@ -544,7 +539,7 @@ mod tests {
         assert_eq!(back.grids, vec![out.tuned.grid]);
         assert_eq!(back.lookahead(), out.tuned.lookahead);
         // And back to a runnable config.
-        let cfg = out.tuned.hybrid_config(&m);
+        let cfg = out.tuned.candidate().config(&m);
         assert_eq!(cfg.nb, out.tuned.nb);
         assert_eq!(cfg.offload.kt, out.tuned.nb);
     }

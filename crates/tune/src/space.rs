@@ -47,7 +47,7 @@ impl MachineConfig {
     /// model constants a candidate's score depends on — two machines with
     /// the same shape but different calibration hash differently, so the
     /// tuning cache cannot serve stale results across model changes.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let probe = HybridConfig::new(self.n, ProcessGrid::new(1, self.nodes), self.cards_per_node);
         let mut h = Fnv::new();
         h.write_u64(self.nodes as u64);
@@ -80,13 +80,13 @@ pub struct Candidate {
 
 /// Canonical, totally ordered key of a candidate. `NB` leads so sorting
 /// by key implements the ε-rule's smallest-NB preference directly.
-pub type CandidateKey = (usize, u8, u8, u64, u8, usize, usize);
+pub(crate) type CandidateKey = (usize, u8, u8, u64, u8, usize, usize);
 
 impl Candidate {
     /// The paper's hand-set configuration for `machine`: NB = 1200,
     /// pipelined look-ahead, dynamic stealing, ring broadcast, the most
     /// square grid — the baseline the tuner must never regress below.
-    pub fn paper_baseline(machine: &MachineConfig) -> Self {
+    pub(crate) fn paper_baseline(machine: &MachineConfig) -> Self {
         Self {
             nb: 1200,
             lookahead: Lookahead::Pipelined,
@@ -99,7 +99,7 @@ impl Candidate {
     /// The full simulator configuration this candidate denotes. `NB` and
     /// the offload tile depth `Kt` are tied (the paper runs `Kt = NB`),
     /// so the update flops `2·m·n·Kt` scale with the panel width.
-    pub fn config(&self, machine: &MachineConfig) -> HybridConfig {
+    pub(crate) fn config(&self, machine: &MachineConfig) -> HybridConfig {
         let mut cfg = HybridConfig::new(
             machine.n,
             ProcessGrid::new(self.grid.0, self.grid.1),
@@ -117,7 +117,7 @@ impl Candidate {
     /// Whether the candidate can run at all: grid covers the cluster,
     /// the panel fits the matrix, and the per-node share fits host
     /// memory (the same gate `simulate_cluster` asserts).
-    pub fn feasible(&self, machine: &MachineConfig) -> bool {
+    pub(crate) fn feasible(&self, machine: &MachineConfig) -> bool {
         if self.grid.0 * self.grid.1 != machine.nodes {
             return false;
         }
@@ -134,7 +134,7 @@ impl Candidate {
     }
 
     /// Canonical key: deterministic identity, dedup and tie-break order.
-    pub fn key(&self) -> CandidateKey {
+    pub(crate) fn key(&self) -> CandidateKey {
         let la = match self.lookahead {
             Lookahead::None => 0u8,
             Lookahead::Basic => 1,
@@ -174,7 +174,7 @@ impl Candidate {
 }
 
 /// Every `(p, q)` with `p · q == nodes`, in increasing `p`.
-pub fn factor_grids(nodes: usize) -> Vec<(usize, usize)> {
+fn factor_grids(nodes: usize) -> Vec<(usize, usize)> {
     (1..=nodes)
         .filter(|p| nodes.is_multiple_of(*p))
         .map(|p| (p, nodes / p))
@@ -184,7 +184,7 @@ pub fn factor_grids(nodes: usize) -> Vec<(usize, usize)> {
 /// The factorization of `nodes` closest to square (ties to the flatter
 /// `p <= q` shape) — HPL folklore's starting point and the paper's
 /// choice for every Table III row.
-pub fn squarest_grid(nodes: usize) -> (usize, usize) {
+fn squarest_grid(nodes: usize) -> (usize, usize) {
     factor_grids(nodes)
         .into_iter()
         .filter(|&(p, q)| p <= q)
@@ -240,7 +240,7 @@ impl TuneSpace {
 
     /// The feasible cross-product, in a fixed deterministic nesting
     /// order (grid, NB, look-ahead, division, broadcast).
-    pub fn candidates(&self, machine: &MachineConfig) -> Vec<Candidate> {
+    pub(crate) fn candidates(&self, machine: &MachineConfig) -> Vec<Candidate> {
         let mut out = Vec::new();
         for &grid in &self.grids {
             for &nb in &self.nbs {
@@ -267,7 +267,7 @@ impl TuneSpace {
 
     /// FNV-1a signature of the space (part of the cache key: a changed
     /// search space must not be served a stale result).
-    pub fn signature(&self) -> u64 {
+    pub(crate) fn signature(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(self.nbs.len() as u64);
         for &nb in &self.nbs {

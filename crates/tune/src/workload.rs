@@ -35,7 +35,7 @@ pub struct SpmvBlockingChoice {
 /// Padded nonzero count when `row_lens` (in the given order) is cut into
 /// row blocks of [`BLOCK_ROWS`], each padded to its deepest row — the
 /// exact quantity `run_spmv` streams.
-pub fn padded_nnz(row_lens: &[usize]) -> usize {
+fn padded_nnz(row_lens: &[usize]) -> usize {
     row_lens
         .chunks(BLOCK_ROWS)
         .map(|b| BLOCK_ROWS * b.iter().copied().max().unwrap_or(0).max(1))

@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 /// Hardware constants of the dual-socket host (Table I).
 #[derive(Clone, Copy, Debug)]
@@ -59,13 +60,6 @@ impl XeonConfig {
     /// Node peak in DP GFLOPS (Table I: 333).
     pub fn peak_gflops(&self) -> f64 {
         self.cores() as f64 * self.freq_ghz * self.dp_flops_per_cycle
-    }
-
-    /// Largest N whose f64 matrix fits in DRAM with ~10% slack — Table
-    /// III's 825K runs need the 64 GB per-node memory (10×10 grid).
-    pub fn max_n_per_node(&self) -> usize {
-        let bytes = self.dram_gib * 1024.0 * 1024.0 * 1024.0 * 0.9;
-        (bytes / 8.0).sqrt() as usize
     }
 }
 
@@ -132,7 +126,7 @@ impl XeonModel {
     }
 
     /// MKL SMP Linpack efficiency (Fig. 6 bottom curve).
-    pub fn hpl_efficiency(&self, n: usize) -> f64 {
+    fn hpl_efficiency(&self, n: usize) -> f64 {
         let n = n as f64;
         self.hpl_peak_eff * n / (n + self.hpl_knee)
     }
@@ -180,13 +174,6 @@ impl XeonModel {
     pub fn swap_time_s(&self, nb: usize, cols: usize) -> f64 {
         let traffic = 2.0 * 8.0 * nb as f64 * cols as f64;
         traffic / (self.cfg.stream_bw_gbs * 1e9 * self.swap_bw_fraction)
-    }
-
-    /// Pack-and-copy of an `elems`-element tile into the Knights
-    /// Corner-friendly format (offload DGEMM step 1), seconds.
-    pub fn pack_time_s(&self, elems: usize) -> f64 {
-        let traffic = 2.0 * 8.0 * elems as f64; // read + write
-        traffic / (self.cfg.stream_bw_gbs * 1e9 * self.pack_bw_fraction)
     }
 }
 
@@ -252,21 +239,5 @@ mod tests {
         let t = m.swap_time_s(1200, 84_000);
         // 2*8*1200*84000 bytes ≈ 1.6 GB at ~34 GB/s ≈ 47 ms.
         assert!((0.01..0.2).contains(&t), "{t}");
-    }
-
-    #[test]
-    fn memory_gates_problem_size() {
-        let c64 = XeonConfig::default();
-        assert!(c64.max_n_per_node() > 84_000, "{}", c64.max_n_per_node());
-        let c128 = XeonConfig {
-            dram_gib: 128.0,
-            ..XeonConfig::default()
-        };
-        assert!(c128.max_n_per_node() > c64.max_n_per_node());
-        // Table III: N=242K on a 2x2 grid of 128 GB nodes → per-node share
-        // 121K² doubles ≈ 109 GB... the paper distributes over 4 nodes:
-        // (242K)²/4 * 8B ≈ 117 GB per node. Fits in 128 GB.
-        let per_node = 242_000.0f64 * 242_000.0 / 4.0 * 8.0 / 1024f64.powi(3);
-        assert!(per_node < 128.0 * 0.95);
     }
 }
