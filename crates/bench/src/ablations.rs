@@ -56,7 +56,7 @@ fn ablation_superstage(sizes: &[usize]) -> Vec<SuperstageRow> {
 }
 
 /// Renders the super-stage ablation.
-pub fn superstage_render() -> String {
+pub(crate) fn superstage_render() -> String {
     let mut t = TextTable::new(["N", "adaptive", "fixed 16-thr groups", "one 240-thr group"]);
     for r in ablation_superstage(&[4096, 8192, 16384, 30_720]) {
         t.row([
@@ -99,7 +99,7 @@ fn ablation_stealing(m: usize, host_cores: f64) -> Vec<StealingRow> {
 }
 
 /// Renders the stealing ablation.
-pub fn stealing_render() -> String {
+pub(crate) fn stealing_render() -> String {
     let mut t = TextTable::new(["card share", "static split GF", "stealing GF"]);
     for r in ablation_stealing(40_000, 12.0) {
         t.row([
@@ -147,7 +147,7 @@ fn ablation_tiles(sizes: &[usize]) -> Vec<TileRow> {
 }
 
 /// Renders the tile-size ablation.
-pub fn tiles_render() -> String {
+pub(crate) fn tiles_render() -> String {
     let mut t = TextTable::new(["M=N", "2x2 grid", "10x10 grid", "selected", "grid"]);
     for r in ablation_tiles(&[10_000, 20_000, 40_000, 82_000]) {
         t.row([
@@ -198,7 +198,7 @@ fn ablation_prefetch(thresholds: &[u32]) -> Vec<PrefetchRow> {
 }
 
 /// Renders the prefetch ablation.
-pub fn prefetch_render() -> String {
+pub(crate) fn prefetch_render() -> String {
     let mut t = TextTable::new(["defer threshold", "Kernel1 eff", "Kernel2 eff"]);
     for r in ablation_prefetch(&[1, 2, 4, 8, 16, 64]) {
         t.row([

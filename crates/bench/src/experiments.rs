@@ -2,7 +2,7 @@
 //!
 //! Every function returns structured rows carrying both our measured
 //! value and the paper's reported value (where the paper gives one), so
-//! the binaries — and `EXPERIMENTS.md` — can show them side by side.
+//! the `phi` subcommands — and `EXPERIMENTS.md` — can show them side by side.
 
 use crate::format::TextTable;
 use phi_blas::gemm::MicroKernelKind;
@@ -19,7 +19,7 @@ use phi_xeon::{XeonConfig, XeonModel};
 // ---------------------------------------------------------------- Table I
 
 /// Renders Table I: the system configurations.
-pub fn table1_render() -> String {
+pub(crate) fn table1_render() -> String {
     let knc = KncChip::default();
     let xeon = XeonConfig::default();
     let mut t = TextTable::new(["property", "Xeon E5-2670", "Xeon Phi (KNC)"]);
@@ -108,7 +108,7 @@ pub fn table2_rows() -> Vec<Table2Row> {
 }
 
 /// Renders Table II.
-pub fn table2_render() -> String {
+pub(crate) fn table2_render() -> String {
     let mut t = TextTable::new([
         "k", "SP eff", "SP GF", "SP paper", "DP eff", "DP GF", "DP paper",
     ]);
@@ -130,7 +130,7 @@ pub fn table2_render() -> String {
 
 /// Outcome of emulating one basic kernel on the cycle-level core model.
 #[derive(Clone, Debug)]
-pub struct Fig2Row {
+pub(crate) struct Fig2Row {
     /// Which kernel.
     pub kind: MicroKernelKind,
     /// FMAs per vector slot (31/32 or 30/32).
@@ -144,7 +144,7 @@ pub struct Fig2Row {
 }
 
 /// Emulates Basic Kernel 1 and 2 (k = 300) on the cycle-level model.
-pub fn fig2_rows() -> Vec<Fig2Row> {
+pub(crate) fn fig2_rows() -> Vec<Fig2Row> {
     let depth = 300;
     [MicroKernelKind::Kernel1, MicroKernelKind::Kernel2]
         .into_iter()
@@ -170,7 +170,7 @@ pub fn fig2_rows() -> Vec<Fig2Row> {
 }
 
 /// Renders the Fig. 2 kernel comparison.
-pub fn fig2_render() -> String {
+pub(crate) fn fig2_render() -> String {
     let mut t = TextTable::new([
         "kernel",
         "theoretical",
@@ -194,7 +194,7 @@ pub fn fig2_render() -> String {
 
 /// One point of Fig. 4.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig4Point {
+pub(crate) struct Fig4Point {
     /// Matrix dimension (M = N).
     pub n: usize,
     /// Sandy Bridge EP MKL DGEMM GFLOPS.
@@ -208,7 +208,7 @@ pub struct Fig4Point {
 }
 
 /// The Fig. 4 size sweep.
-pub fn fig4_series(sizes: &[usize]) -> Vec<Fig4Point> {
+pub(crate) fn fig4_series(sizes: &[usize]) -> Vec<Fig4Point> {
     let knc = GemmModel::default();
     let xeon = XeonModel::default();
     let peak = knc.chip.native_peak_gflops(Precision::F64);
@@ -230,7 +230,7 @@ fn fig4_default_sizes() -> Vec<usize> {
 }
 
 /// Renders Fig. 4 as a table of series.
-pub fn fig4_render() -> String {
+pub(crate) fn fig4_render() -> String {
     let mut t = TextTable::new(["N", "SNB MKL", "KNC kernel", "KNC dgemm", "pack ovh"]);
     for p in fig4_series(&fig4_default_sizes()) {
         t.row([
@@ -248,7 +248,7 @@ pub fn fig4_render() -> String {
 
 /// One point of Fig. 6.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig6Point {
+pub(crate) struct Fig6Point {
     /// Problem size.
     pub n: usize,
     /// Sandy Bridge MKL SMP Linpack GFLOPS.
@@ -260,7 +260,7 @@ pub struct Fig6Point {
 }
 
 /// The Fig. 6 native Linpack sweep.
-pub fn fig6_series(sizes: &[usize]) -> Vec<Fig6Point> {
+pub(crate) fn fig6_series(sizes: &[usize]) -> Vec<Fig6Point> {
     let xeon = XeonModel::default();
     sizes
         .iter()
@@ -286,7 +286,7 @@ fn fig6_default_sizes() -> Vec<usize> {
 }
 
 /// Renders Fig. 6.
-pub fn fig6_render() -> String {
+pub(crate) fn fig6_render() -> String {
     let mut t = TextTable::new(["N", "SNB MKL HPL", "KNC static", "KNC dynamic"]);
     for p in fig6_series(&fig6_default_sizes()) {
         t.row([
@@ -303,7 +303,7 @@ pub fn fig6_render() -> String {
 
 /// The Fig. 7 Gantt charts for the 5K problem: `(static, dynamic)` ASCII
 /// renderings plus per-kind totals.
-pub fn fig7_gantt(width: usize) -> (String, String) {
+pub(crate) fn fig7_gantt(width: usize) -> (String, String) {
     let cfg = NativeConfig::new(5120);
     let (st_rep, st_trace) = simulate_static_traced(&cfg, true);
     let (dy_rep, dy_trace) = simulate_dynamic_traced(&cfg, true);
@@ -332,7 +332,7 @@ pub fn fig7_gantt(width: usize) -> (String, String) {
 
 /// Summary of the Fig. 9 experiment (2×2 nodes, 2 cards, N = 84K).
 #[derive(Clone, Debug)]
-pub struct Fig9Summary {
+pub(crate) struct Fig9Summary {
     /// Exposure fraction of swap+DTRSM+U-bcast, early third, basic.
     pub basic_exposure: f64,
     /// Same for pipelined.
@@ -346,7 +346,7 @@ pub struct Fig9Summary {
 }
 
 /// Runs the Fig. 9 comparison.
-pub fn fig9_summary() -> Fig9Summary {
+pub(crate) fn fig9_summary() -> Fig9Summary {
     let mut cfg = HybridConfig::new(84_000, ProcessGrid::new(2, 2), 2);
     cfg.lookahead = Lookahead::Basic;
     let basic = simulate_cluster(&cfg, true);
@@ -378,7 +378,7 @@ pub fn fig9_summary() -> Fig9Summary {
 }
 
 /// Renders the Fig. 9 per-iteration profile (sampled every 8 stages).
-pub fn fig9_render() -> String {
+pub(crate) fn fig9_render() -> String {
     let s = fig9_summary();
     let mut t = TextTable::new([
         "trailing N",
@@ -415,7 +415,7 @@ pub fn fig9_render() -> String {
 
 /// One point of Fig. 11.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig11Point {
+pub(crate) struct Fig11Point {
     /// Matrix dimension (M = N, Kt = 1200).
     pub n: usize,
     /// Single-card offload DGEMM GFLOPS / efficiency (vs 61-core peak).
@@ -429,7 +429,7 @@ pub struct Fig11Point {
 }
 
 /// The Fig. 11 offload-DGEMM sweep.
-pub fn fig11_series(sizes: &[usize]) -> Vec<Fig11Point> {
+pub(crate) fn fig11_series(sizes: &[usize]) -> Vec<Fig11Point> {
     let model = OffloadModel::default();
     let peak1 = model.card.chip.full_peak_gflops(Precision::F64);
     sizes
@@ -456,7 +456,7 @@ fn fig11_default_sizes() -> Vec<usize> {
 }
 
 /// Renders Fig. 11.
-pub fn fig11_render() -> String {
+pub(crate) fn fig11_render() -> String {
     let mut t = TextTable::new([
         "M=N",
         "1 card GF",
@@ -704,7 +704,7 @@ pub fn table3_rows() -> Vec<Table3Row> {
 }
 
 /// Renders Table III.
-pub fn table3_render() -> String {
+pub(crate) fn table3_render() -> String {
     let mut t = TextTable::new([
         "system",
         "N",

@@ -384,7 +384,7 @@ pub fn fault_campaign_cluster_render(seed: u64, remap: RemapStrategy) -> String 
     )
 }
 
-/// The fault section of `experiments_md`, shared by the binary and the
+/// The fault section of `phi experiments_md`, shared with the
 /// golden-snapshot test: single-node campaign plus the Table III
 /// cluster scenarios, as markdown.
 pub fn experiments_fault_section_md(seed: u64) -> String {

@@ -507,7 +507,10 @@ pub fn fleet_render(opts: &FleetOptions) -> String {
 /// [`fleet_render`] streamed through a [`ResultStore`]: byte-identical
 /// report (store traffic is returned separately, never printed into the
 /// report, so a stored and an unstored run `cmp` equal).
-pub fn fleet_render_stored(opts: &FleetOptions, store: &ResultStore) -> (String, FleetStoreStats) {
+pub(crate) fn fleet_render_stored(
+    opts: &FleetOptions,
+    store: &ResultStore,
+) -> (String, FleetStoreStats) {
     let (fleet, stats) = run_fleet_stored(opts, store);
     (render_fleet_result(&fleet), stats)
 }

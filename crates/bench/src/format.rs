@@ -1,4 +1,4 @@
-//! Minimal fixed-width text tables for the regenerator binaries.
+//! Minimal fixed-width text tables for the regenerator reports.
 
 /// A simple column-aligned text table.
 #[derive(Clone, Debug, Default)]

@@ -3,30 +3,32 @@
 //!
 //! Each `table*`/`fig*` module produces rows/series through the machine
 //! models and simulations of the workspace, paired with the number the
-//! paper reports so drift is visible at a glance. The `src/bin/`
-//! executables are thin wrappers; `cargo run -p phi-bench --bin repro`
-//! regenerates everything.
+//! paper reports so drift is visible at a glance. The `phi` binary
+//! runs each regenerator, gate and campaign driver as a subcommand;
+//! `cargo run --release --bin phi -- repro` regenerates everything.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod ablations;
+mod ablations;
+mod cli;
+mod emudiff;
 mod experiments;
 mod faults;
 pub mod fleet;
 mod format;
-pub mod lintgate;
-pub mod perfgate;
-pub mod schedlint;
+mod lintgate;
+mod perfgate;
+mod schedlint;
 pub mod serve;
-pub mod tune;
+mod tune;
 pub mod workloads;
 
-pub use experiments::*;
+pub use cli::run_cli;
+pub use experiments::{table2_rows, table3_rows};
 pub use faults::{
     experiments_fault_section_md, fault_campaign_cluster_render, fault_campaign_render,
     paper_cluster,
 };
-pub use fleet::{fleet_render, FleetOptions};
 pub(crate) use format::TextTable;
 use phi_hpl::native::NativeScheme;

@@ -1,5 +1,5 @@
-//! The static↔dynamic lint gate behind `cargo run -p phi-bench --bin
-//! lint` (and the CI step of the same name).
+//! The static↔dynamic lint gate behind `phi lint` (and the CI step of
+//! the same name).
 //!
 //! Three obligations, mirroring `phi-lint`'s own gate tests but packaged
 //! as a runnable report with a process exit code:
@@ -24,7 +24,7 @@ const DEPTH: usize = 300;
 
 /// Gate verdict for one paper kernel.
 #[derive(Clone, Debug)]
-pub struct KernelGateRow {
+pub(crate) struct KernelGateRow {
     /// Kernel label.
     pub kernel: &'static str,
     /// FMAs per iteration.
@@ -57,7 +57,7 @@ impl KernelGateRow {
 
 /// Gate verdict for one broken fixture.
 #[derive(Clone, Debug)]
-pub struct FixtureGateRow {
+pub(crate) struct FixtureGateRow {
     /// Fixture scenario name.
     pub name: &'static str,
     /// Diagnostic kind it must trip.
@@ -68,7 +68,7 @@ pub struct FixtureGateRow {
 
 /// Complete gate outcome.
 #[derive(Clone, Debug)]
-pub struct LintGate {
+pub(crate) struct LintGate {
     /// One row per paper kernel.
     pub kernels: Vec<KernelGateRow>,
     /// One row per diagnostic fixture.
@@ -87,7 +87,7 @@ fn measure_kernel(kind: MicroKernelKind) -> f64 {
 }
 
 /// Runs the full gate: analyzer + emulator cross-check + fixtures.
-pub fn run() -> LintGate {
+pub(crate) fn run() -> LintGate {
     let kernels = [
         (MicroKernelKind::Kernel1, "Basic Kernel 1"),
         (MicroKernelKind::Kernel2, "Basic Kernel 2"),
@@ -130,13 +130,13 @@ pub fn run() -> LintGate {
 
 impl LintGate {
     /// True when every kernel and fixture obligation holds.
-    pub fn passed(&self) -> bool {
+    pub(crate) fn passed(&self) -> bool {
         self.kernels.iter().all(|k| k.passed()) && self.fixtures.iter().all(|f| f.fired)
     }
 
     /// Renders the gate report: verdict tables plus the per-kernel
     /// analyzer output (the Kernel 1 vs Kernel 2 comparison).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = TextTable::new([
             "kernel",
             "fmadd/slots",
@@ -185,7 +185,7 @@ impl LintGate {
     /// Renders the machine-readable report the CI job uploads as an
     /// artifact: kernel verdicts (with stable `K###`-coded finding
     /// counts) plus the fixture self-test.
-    pub fn render_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         use phi_lint::diag::json_escape;
         let kernels: Vec<String> = self
             .kernels

@@ -4,14 +4,15 @@
 //!
 //! The metrics are all analytic-model outputs, so on an unchanged tree
 //! they reproduce bit-for-bit and the gate is noise-free: any delta is
-//! a real change to the model or the recovery machinery. CI runs the
-//! `perfgate` binary; an intentional change regenerates the baseline
+//! a real change to the model or the recovery machinery. CI runs
+//! `phi perfgate`; an intentional change regenerates the baseline
 //! with `UPDATE_BASELINE=1` and commits the diff like any fixture.
 
+use crate::emudiff::tile_inputs;
 use crate::faults::fault_campaign_cluster_rows;
 use crate::fleet::{completion_percentiles, run_fleet, FleetOptions};
 use crate::serve::{serve_load, ServeLoadOptions, ServeLoadResult};
-use crate::tune::{run_tuner, TuneBenchError};
+use crate::tune::{io_ctx, run_tuner, IoError};
 use crate::TextTable;
 use phi_blas::gemm::MicroKernelKind;
 use phi_fabric::{ProcessGrid, RemapStrategy};
@@ -20,8 +21,7 @@ use phi_hpl::hybrid::{simulate_cluster_rankdes, HybridConfig};
 use phi_knc::kernels::run_tile_product_traced;
 use phi_knc::PipelineConfig;
 use std::fmt;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Seed the gate's fault campaign runs under — the fixture seed, so the
 /// goldens, the docs and the baseline all describe the same campaign.
@@ -32,19 +32,12 @@ pub(crate) const GATE_SEED: u64 = 0xFA_0175;
 /// this.
 const GATE_TOLERANCE: f64 = 0.01;
 
-/// A failure in the perf gate, carried as a value so the binary exits
+/// A failure in the perf gate, carried as a value so `phi` exits
 /// with a message instead of a panic backtrace.
 #[derive(Debug)]
-pub enum PerfGateError {
-    /// An unrecognized command-line argument.
-    BadArg(String),
+pub(crate) enum PerfGateError {
     /// Filesystem I/O failed (baseline file or tune cache).
-    Io {
-        /// What the gate was doing when the error occurred.
-        context: String,
-        /// The underlying error.
-        source: io::Error,
-    },
+    Io(IoError),
     /// The baseline file exists but a metric line cannot be parsed.
     Malformed(String),
 }
@@ -52,11 +45,7 @@ pub enum PerfGateError {
 impl fmt::Display for PerfGateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PerfGateError::BadArg(a) => write!(
-                f,
-                "unrecognized argument `{a}` (expected --baseline <path> or --cache-dir <path>)"
-            ),
-            PerfGateError::Io { context, source } => write!(f, "{context}: {source}"),
+            PerfGateError::Io(e) => e.fmt(f),
             PerfGateError::Malformed(line) => {
                 write!(f, "malformed baseline metric line: `{line}`")
             }
@@ -64,27 +53,10 @@ impl fmt::Display for PerfGateError {
     }
 }
 
-impl std::error::Error for PerfGateError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PerfGateError::Io { source, .. } => Some(source),
-            _ => None,
-        }
+impl From<IoError> for PerfGateError {
+    fn from(e: IoError) -> Self {
+        PerfGateError::Io(e)
     }
-}
-
-impl From<TuneBenchError> for PerfGateError {
-    fn from(e: TuneBenchError) -> Self {
-        match e {
-            TuneBenchError::BadArg(a) => PerfGateError::BadArg(a),
-            TuneBenchError::Io { context, source } => PerfGateError::Io { context, source },
-        }
-    }
-}
-
-fn io_ctx(context: impl Into<String>) -> impl FnOnce(io::Error) -> PerfGateError {
-    let context = context.into();
-    move |source| PerfGateError::Io { context, source }
 }
 
 /// One gated metric: a stable name and its current value.
@@ -164,15 +136,7 @@ fn gate_serve_load() -> ServeLoadResult {
 /// bit-identical.
 fn emu_block_replay_speedup() -> f64 {
     const DEPTH: usize = 1024;
-    let mr = 30;
-    let a: Vec<f64> = (0..mr * DEPTH)
-        .map(|i| ((i * 7 + 3) % 23) as f64 - 11.0)
-        .collect();
-    let bs: [Vec<f64>; 4] = std::array::from_fn(|t| {
-        (0..DEPTH * 8)
-            .map(|i| ((i * 5 + t) % 17) as f64 - 8.0)
-            .collect()
-    });
+    let (a, bs) = tile_inputs(MicroKernelKind::Kernel2, DEPTH);
     let (_, _, speedup) = run_tile_product_traced(
         MicroKernelKind::Kernel2,
         DEPTH,
@@ -368,7 +332,7 @@ impl GateReport {
         self.lines.iter().all(|l| l.pass)
     }
 
-    /// Renders the delta table the binary prints.
+    /// Renders the delta table `phi perfgate` prints.
     fn render(&self) -> String {
         let mut t = TextTable::new(["metric", "baseline", "current", "delta", "gate"]);
         for l in &self.lines {
@@ -423,78 +387,41 @@ fn compare(baseline: &[(String, f64)], current: &[Metric], tolerance: f64) -> Ga
     GateReport { lines }
 }
 
-/// Parsed command line of the `perfgate` binary.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GateArgs {
-    /// Baseline file to compare against (or regenerate).
-    pub baseline: PathBuf,
-    /// Tuning-cache directory for the smoke-tune metric.
-    pub cache_dir: PathBuf,
-}
-
-impl Default for GateArgs {
-    fn default() -> Self {
-        GateArgs {
-            baseline: PathBuf::from("BENCH_baseline.json"),
-            cache_dir: PathBuf::from("target/tune-cache"),
-        }
-    }
-}
-
-impl GateArgs {
-    /// Parses `--baseline <path>` and `--cache-dir <path>`.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, PerfGateError> {
-        let mut out = GateArgs::default();
-        let mut args = args.peekable();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--baseline" => match args.next() {
-                    Some(p) => out.baseline = PathBuf::from(p),
-                    None => return Err(PerfGateError::BadArg(a)),
-                },
-                "--cache-dir" => match args.next() {
-                    Some(p) => out.cache_dir = PathBuf::from(p),
-                    None => return Err(PerfGateError::BadArg(a)),
-                },
-                _ => return Err(PerfGateError::BadArg(a)),
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Runs the whole gate: collect, then either regenerate the baseline
-/// (when `update` is set, as the binary does under `UPDATE_BASELINE=1`)
+/// Runs the whole gate against the `baseline` file, smoke-tuning under
+/// `cache_dir`: collect, then either regenerate the baseline (when
+/// `update` is set, as `phi perfgate` does under `UPDATE_BASELINE=1`)
 /// or compare against it. Returns the report text and whether the gate
 /// passed.
-pub fn run_gate(args: &GateArgs, update: bool) -> Result<(String, bool), PerfGateError> {
-    let metrics = collect_metrics(&args.cache_dir)?;
+pub(crate) fn run_gate(
+    baseline: &Path,
+    cache_dir: &Path,
+    update: bool,
+) -> Result<(String, bool), PerfGateError> {
+    let metrics = collect_metrics(cache_dir)?;
     if update {
-        std::fs::write(&args.baseline, baseline_json(&metrics)).map_err(io_ctx(format!(
-            "writing baseline {}",
-            args.baseline.display()
-        )))?;
+        std::fs::write(baseline, baseline_json(&metrics))
+            .map_err(io_ctx(format!("writing baseline {}", baseline.display())))?;
         return Ok((
             format!(
                 "perfgate: wrote {} ({} metrics)\n",
-                args.baseline.display(),
+                baseline.display(),
                 metrics.len()
             ),
             true,
         ));
     }
-    let text = std::fs::read_to_string(&args.baseline).map_err(io_ctx(format!(
+    let text = std::fs::read_to_string(baseline).map_err(io_ctx(format!(
         "reading baseline {} (UPDATE_BASELINE=1 to create it)",
-        args.baseline.display()
+        baseline.display()
     )))?;
-    let baseline = parse_baseline(&text)?;
-    let report = compare(&baseline, &metrics, GATE_TOLERANCE);
+    let recorded = parse_baseline(&text)?;
+    let report = compare(&recorded, &metrics, GATE_TOLERANCE);
     let verdict = if report.pass() {
         format!(
             "perfgate: PASS — {} metrics within ±{:.0}% of {}\n",
             metrics.len(),
             100.0 * GATE_TOLERANCE,
-            args.baseline.display()
+            baseline.display()
         )
     } else {
         let failed = report.lines.iter().filter(|l| !l.pass).count();
@@ -502,7 +429,7 @@ pub fn run_gate(args: &GateArgs, update: bool) -> Result<(String, bool), PerfGat
             "perfgate: FAIL — {failed} metric(s) outside ±{:.0}% of {} \
              (UPDATE_BASELINE=1 to accept an intentional change)\n",
             100.0 * GATE_TOLERANCE,
-            args.baseline.display()
+            baseline.display()
         )
     };
     Ok((format!("{}{verdict}", report.render()), report.pass()))
@@ -575,20 +502,6 @@ mod tests {
         assert!(!report.pass());
         let one = parse_baseline(&baseline_json(&m[..1])).unwrap();
         assert!(!compare(&one, &m, GATE_TOLERANCE).pass());
-    }
-
-    #[test]
-    fn args_parse_and_reject() {
-        let ok = GateArgs::parse(
-            ["--baseline", "b.json", "--cache-dir", "c"]
-                .into_iter()
-                .map(String::from),
-        )
-        .unwrap();
-        assert_eq!(ok.baseline, PathBuf::from("b.json"));
-        assert_eq!(ok.cache_dir, PathBuf::from("c"));
-        assert!(GateArgs::parse(["--bogus".to_string()].into_iter()).is_err());
-        assert!(GateArgs::parse(["--baseline".to_string()].into_iter()).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The schedule-verification gate behind `cargo run -p phi-bench --bin
-//! schedule-lint` (and the CI job of the same name).
+//! The schedule-verification gate behind `phi schedule-lint` (and the
+//! CI job of the same name).
 //!
 //! Four obligations, mirroring the kernel lint gate's shape but aimed
 //! at the cluster side of the paper:
@@ -49,7 +49,7 @@ const SWAP_BYTES: u64 = 8 * (NB as u64) * 64;
 
 /// Verification tally for one communication-grid regime.
 #[derive(Clone, Debug)]
-pub struct ShapeRow {
+pub(crate) struct ShapeRow {
     /// Which simulator family emitted the regime.
     pub flavour: &'static str,
     /// [`ScheduleShape::label`].
@@ -66,7 +66,7 @@ pub struct ShapeRow {
 
 /// Self-test verdict for one broken fixture.
 #[derive(Clone, Debug)]
-pub struct SchedFixtureRow {
+pub(crate) struct SchedFixtureRow {
     /// Fixture scenario name.
     pub name: &'static str,
     /// Diagnostic kind it must trip.
@@ -77,7 +77,7 @@ pub struct SchedFixtureRow {
 
 /// Complete gate outcome.
 #[derive(Clone, Debug)]
-pub struct SchedLintGate {
+pub(crate) struct SchedLintGate {
     /// One row per distinct regime verified.
     pub shapes: Vec<ShapeRow>,
     /// One row per broken fixture.
@@ -214,7 +214,7 @@ fn verify_ownership(shape: &ScheduleShape) -> (usize, Vec<SchedDiagnostic>) {
 
 /// Runs the full gate. `root` is the workspace root the determinism
 /// scan resolves [`determinism::SCAN_ROOTS`] against.
-pub fn run(root: &Path) -> std::io::Result<SchedLintGate> {
+pub(crate) fn run(root: &Path) -> std::io::Result<SchedLintGate> {
     let mut shapes = Vec::new();
     let mut findings = Vec::new();
     for (flavour, shape) in reference_shapes() {
@@ -286,7 +286,7 @@ pub(crate) fn reference_sweep_ops() -> f64 {
 
 impl SchedLintGate {
     /// True when every regime verifies clean and every fixture fires.
-    pub fn passed(&self) -> bool {
+    pub(crate) fn passed(&self) -> bool {
         self.findings.is_empty() && self.fixtures.iter().all(|f| f.fired)
     }
 
@@ -296,7 +296,7 @@ impl SchedLintGate {
     }
 
     /// Renders the gate report as tables plus any findings.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut t = TextTable::new([
             "flavour",
             "regime",
@@ -341,7 +341,7 @@ impl SchedLintGate {
     /// Renders the machine-readable report the CI job uploads as an
     /// artifact: one stable JSON object, findings in
     /// [`SchedDiagnostic::render_json`] form.
-    pub fn render_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         let shapes: Vec<String> = self
             .shapes
             .iter()
@@ -387,7 +387,7 @@ impl SchedLintGate {
 
 /// The workspace root this crate was compiled in — where the CI job and
 /// the tests run the determinism scan.
-pub fn workspace_root() -> std::path::PathBuf {
+pub(crate) fn workspace_root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 

@@ -240,9 +240,9 @@ pub(crate) fn serve_load(opts: &ServeLoadOptions) -> ServeLoadResult {
 }
 
 /// Runs the load generation and renders the human-readable report the
-/// `serve` binary and the CI smoke job emit, ending with a PASS/FAIL
+/// `phi serve` and the CI smoke job emit, ending with a PASS/FAIL
 /// verdict from `ServeLoadResult::check`.
-pub fn serve_load_render(opts: &ServeLoadOptions) -> String {
+pub(crate) fn serve_load_render(opts: &ServeLoadOptions) -> String {
     let r = serve_load(opts);
     let s = &r.stats;
     let mut out = String::new();

@@ -1,58 +1,37 @@
 //! Autotuner driver: runs `phi-tune` on the paper's two reference
 //! machines (the Table II single node and the Table III 100-node
 //! cluster) and emits `BENCH_tune.json` plus a per-candidate score
-//! table. I/O failures surface as [`TuneBenchError`] values, never
-//! panics.
+//! table. I/O failures surface as [`IoError`] values, never panics.
 
 use crate::TextTable;
 use phi_tune::{tune_cached, MachineConfig, TuneCache, TuneOptions, TuneOutcome, TuneSpace};
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// A failure in the tune driver, carried as a value so the binary can
-/// exit with a message instead of a panic backtrace.
+/// An I/O failure of the tune driver or the perf gate (cache
+/// directory, JSON output, baseline file), and what was being done.
 #[derive(Debug)]
-pub enum TuneBenchError {
-    /// An unrecognized command-line argument.
-    BadArg(String),
-    /// Filesystem I/O failed (cache directory or JSON output).
-    Io {
-        /// What the driver was doing when the error occurred.
-        context: String,
-        /// The underlying error.
-        source: io::Error,
-    },
+pub(crate) struct IoError {
+    context: String,
+    source: io::Error,
 }
 
-impl fmt::Display for TuneBenchError {
+impl fmt::Display for IoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TuneBenchError::BadArg(a) => {
-                write!(f, "unrecognized argument `{a}` (expected --smoke, --out <path> or --cache-dir <path>)")
-            }
-            TuneBenchError::Io { context, source } => write!(f, "{context}: {source}"),
-        }
+        write!(f, "{}: {}", self.context, self.source)
     }
 }
 
-impl std::error::Error for TuneBenchError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TuneBenchError::BadArg(_) => None,
-            TuneBenchError::Io { source, .. } => Some(source),
-        }
-    }
-}
-
-fn io_ctx(context: impl Into<String>) -> impl FnOnce(io::Error) -> TuneBenchError {
+/// Tags an `io::Error` with what was being done when it occurred.
+pub(crate) fn io_ctx(context: impl Into<String>) -> impl FnOnce(io::Error) -> IoError {
     let context = context.into();
-    move |source| TuneBenchError::Io { context, source }
+    move |source| IoError { context, source }
 }
 
 /// One tuned machine: its label and the full tuning outcome.
 #[derive(Clone, Debug)]
-pub struct TuneRun {
+pub(crate) struct TuneRun {
     /// Machine label used in reports and JSON ("single-node", …).
     pub label: &'static str,
     /// The tuner's outcome on that machine.
@@ -62,7 +41,7 @@ pub struct TuneRun {
 /// Runs the tuner on both paper reference machines. `smoke` restricts
 /// the search to the coarse grid (the CI-friendly mode); the cache
 /// directory makes a second invocation a pure cache hit.
-pub fn run_tuner(smoke: bool, cache_dir: &Path) -> Result<Vec<TuneRun>, TuneBenchError> {
+pub(crate) fn run_tuner(smoke: bool, cache_dir: &Path) -> Result<Vec<TuneRun>, IoError> {
     let cache = TuneCache::open(cache_dir).map_err(io_ctx(format!(
         "opening tune cache {}",
         cache_dir.display()
@@ -124,13 +103,13 @@ fn bench_json(runs: &[TuneRun]) -> String {
 }
 
 /// Writes the JSON artifact to `path`.
-pub fn write_bench_json(path: &Path, runs: &[TuneRun]) -> Result<(), TuneBenchError> {
+pub(crate) fn write_bench_json(path: &Path, runs: &[TuneRun]) -> Result<(), IoError> {
     std::fs::write(path, bench_json(runs)).map_err(io_ctx(format!("writing {}", path.display())))
 }
 
 /// Renders the summary table plus each machine's per-candidate score
 /// table.
-pub fn render(runs: &[TuneRun]) -> String {
+pub(crate) fn render(runs: &[TuneRun]) -> String {
     let mut t = TextTable::new([
         "machine", "NB", "grid", "config", "GFLOPS", "baseline", "Δ", "cands", "cache", "wall(s)",
     ]);
@@ -172,68 +151,9 @@ pub fn render(runs: &[TuneRun]) -> String {
     s
 }
 
-/// Parsed command line of the `tune` binary.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TuneArgs {
-    /// Coarse grid only (CI smoke mode).
-    pub smoke: bool,
-    /// Where to write the JSON artifact.
-    pub out: PathBuf,
-    /// Tuning-cache directory.
-    pub cache_dir: PathBuf,
-}
-
-impl Default for TuneArgs {
-    fn default() -> Self {
-        TuneArgs {
-            smoke: false,
-            out: PathBuf::from("BENCH_tune.json"),
-            cache_dir: PathBuf::from("target/tune-cache"),
-        }
-    }
-}
-
-impl TuneArgs {
-    /// Parses `--smoke`, `--out <path>` and `--cache-dir <path>`.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, TuneBenchError> {
-        let mut out = TuneArgs::default();
-        let mut args = args.peekable();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--smoke" => out.smoke = true,
-                "--out" => match args.next() {
-                    Some(p) => out.out = PathBuf::from(p),
-                    None => return Err(TuneBenchError::BadArg(a)),
-                },
-                "--cache-dir" => match args.next() {
-                    Some(p) => out.cache_dir = PathBuf::from(p),
-                    None => return Err(TuneBenchError::BadArg(a)),
-                },
-                _ => return Err(TuneBenchError::BadArg(a)),
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn args_parse_and_reject() {
-        let ok = TuneArgs::parse(
-            ["--smoke", "--out", "x.json", "--cache-dir", "c"]
-                .into_iter()
-                .map(String::from),
-        )
-        .unwrap();
-        assert!(ok.smoke);
-        assert_eq!(ok.out, PathBuf::from("x.json"));
-        assert_eq!(ok.cache_dir, PathBuf::from("c"));
-        assert!(TuneArgs::parse(["--bogus".to_string()].into_iter()).is_err());
-        assert!(TuneArgs::parse(["--out".to_string()].into_iter()).is_err());
-    }
 
     #[test]
     fn smoke_run_emits_well_formed_json_and_caches() {

@@ -4,9 +4,9 @@
 //!
 //! Three consumers share this module:
 //!
-//! * the `workloads` binary (`--workload dgemm|spmv|stencil`) renders
-//!   [`lab_rows`] for one or all workloads;
-//! * the `workload-diff` binary runs [`workload_diff`], the
+//! * `phi workloads` (`--workload dgemm|spmv|stencil`) renders
+//!   `lab_rows` for one or all workloads;
+//! * `phi workload-diff` runs `workload_diff`, the
 //!   workload-conformance CI gate (differential equivalence on both new
 //!   kernels, zero lint diagnostics on the shipped listings, rank-level
 //!   halo-volume conservation) with an `--inject` must-fail self-test;
@@ -90,7 +90,7 @@ pub(crate) fn stencil_halo_exchange_s() -> f64 {
 
 /// One row of the lab table.
 #[derive(Clone, Debug)]
-pub struct LabRow {
+pub(crate) struct LabRow {
     /// Which workload.
     pub kind: WorkloadKind,
     /// Declared roofline class on the reference chip.
@@ -130,9 +130,9 @@ fn lab_workload(kind: WorkloadKind) -> Box<dyn Workload> {
     }
 }
 
-/// Builds the lab rows for the given kinds (the binary passes one kind
+/// Builds the lab rows for the given kinds (`phi` passes one kind
 /// under `--workload`, or all three by default).
-pub fn lab_rows(kinds: &[WorkloadKind]) -> Vec<LabRow> {
+pub(crate) fn lab_rows(kinds: &[WorkloadKind]) -> Vec<LabRow> {
     let chip = KncChip::default();
     let net = NetModel::default();
     kinds
@@ -153,7 +153,7 @@ pub fn lab_rows(kinds: &[WorkloadKind]) -> Vec<LabRow> {
 }
 
 /// Renders the lab table plus the two headline kernel measurements.
-pub fn lab_render(rows: &[LabRow]) -> String {
+pub(crate) fn lab_render(rows: &[LabRow]) -> String {
     let mut t = TextTable::new([
         "workload",
         "class",
@@ -192,8 +192,8 @@ pub fn lab_render(rows: &[LabRow]) -> String {
 /// The workload-conformance gate: returns human-readable failure lines
 /// (empty = pass). `inject` perturbs one SpMV result bit and one halo
 /// message, both of which the comparisons must flag — CI runs the
-/// `workload-diff` binary in that mode and requires a non-zero exit.
-pub fn workload_diff(inject: bool) -> Vec<String> {
+/// `phi workload-diff` in that mode and requires a non-zero exit.
+pub(crate) fn workload_diff(inject: bool) -> Vec<String> {
     let mut fails = Vec::new();
 
     // 1. SpMV differential equivalence: interpreter vs block-trace fast

@@ -173,7 +173,6 @@ pub fn simulate_dynamic_traced(
             let ph2 = ph.clone();
             sim.schedule(0.0, move |s| lane_free(s, ph2, lane));
         }
-        let phase_start = sim.now();
         sim.run();
         {
             let p = ph.borrow();
@@ -183,16 +182,6 @@ pub fn simulate_dynamic_traced(
                 p.stage_limit
             );
             assert_eq!(p.retired + p.waiting.len(), p.groups);
-            if std::env::var_os("PHI_HPL_PHASE_DEBUG").is_some() {
-                eprintln!(
-                    "phase {idx}: stages {}..{} tpg={} groups={} dur={:.4}s",
-                    ss.first_stage,
-                    ss.end_stage,
-                    ss.threads_per_group,
-                    groups,
-                    sim.now() - phase_start.min(sim.now())
-                );
-            }
         }
         // Global barrier + regroup between super-stages (amortized: the
         // barrier "is executed infrequently, at the end of the

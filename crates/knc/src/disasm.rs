@@ -8,7 +8,9 @@
 //! machine constraints (register indices, lane selectors, address
 //! sanity) before it reaches the emulator.
 
-use crate::isa::{Addr, BcastMode, Instr, Operand, Program, StreamId, NUM_VREGS};
+#[cfg(any(test, debug_assertions))]
+use crate::isa::NUM_VREGS;
+use crate::isa::{Addr, BcastMode, Instr, Operand, Program, StreamId};
 
 fn stream_name(s: StreamId) -> &'static str {
     match s {
@@ -81,6 +83,7 @@ pub fn disassemble(p: &Program) -> String {
 }
 
 /// A static program defect.
+#[cfg(any(test, debug_assertions))]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum ValidationError {
     /// Register index ≥ 32.
@@ -99,6 +102,7 @@ pub(crate) enum ValidationError {
     },
 }
 
+#[cfg(any(test, debug_assertions))]
 impl std::fmt::Display for ValidationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -112,12 +116,14 @@ impl std::fmt::Display for ValidationError {
     }
 }
 
+#[cfg(any(test, debug_assertions))]
 fn check_reg(at: usize, r: u8, errs: &mut Vec<ValidationError>) {
     if r as usize >= NUM_VREGS {
         errs.push(ValidationError::BadRegister { at, reg: r });
     }
 }
 
+#[cfg(any(test, debug_assertions))]
 fn check_operand(at: usize, op: &Operand, errs: &mut Vec<ValidationError>) {
     match op {
         Operand::Reg(r) => check_reg(at, *r, errs),
@@ -133,6 +139,7 @@ fn check_operand(at: usize, op: &Operand, errs: &mut Vec<ValidationError>) {
 
 /// Checks every instruction against the machine constraints. Returns all
 /// defects found (empty = valid).
+#[cfg(any(test, debug_assertions))]
 pub(crate) fn validate(p: &Program) -> Vec<ValidationError> {
     let mut errs = Vec::new();
     for (at, i) in p.body.iter().enumerate() {

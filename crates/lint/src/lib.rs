@@ -17,7 +17,7 @@
 //! [`analyze`] combines them into a [`Report`]: a diagnostic list plus a
 //! [`StaticModel`] whose cycle lower bound is cross-checked against the
 //! cycle-accurate emulator by the gate tests (`tests/gate.rs` and the
-//! `lint` binary in `phi-bench`) — the static↔dynamic consistency gate.
+//! `phi lint` in `phi-bench`) — the static↔dynamic consistency gate.
 //!
 //! A second pass family verifies the *cluster* side of the paper — the
 //! communication plans and data distributions of Section V — instead of
