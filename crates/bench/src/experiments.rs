@@ -12,9 +12,9 @@ use phi_hpl::native::{
     model::simulate_dynamic_traced, static_la::simulate_static_traced, NativeConfig,
 };
 use phi_hpl::offload::OffloadModel;
+use phi_hpl::xeon::{XeonConfig, XeonModel};
 use phi_knc::{GemmModel, KncChip, PipelineConfig, Precision};
 use phi_matrix::HplRng;
-use phi_xeon::{XeonConfig, XeonModel};
 
 // ---------------------------------------------------------------- Table I
 

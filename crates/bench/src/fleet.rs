@@ -182,21 +182,7 @@ fn fleet_digest(outcomes: &[SeedOutcome]) -> u64 {
 /// Runs the whole fleet: `opts.seeds` campaigns, thread-striped,
 /// byte-identical at any thread count.
 pub fn run_fleet(opts: &FleetOptions) -> FleetResult {
-    let cfg = paper_cluster();
-    let ncfg = fleet_native_cluster();
-    let healthy = simulate_cluster(&cfg, false).report;
-    let native_healthy_s = simulate_native_cluster(&ncfg).time_s;
-    let outcomes = striped_map(opts.seeds, opts.threads, |i| {
-        eval_seed(&cfg, &ncfg, healthy.time_s, native_healthy_s, opts, i)
-    });
-    let digest = fleet_digest(&outcomes);
-    FleetResult {
-        options: opts.clone(),
-        outcomes,
-        healthy_time_s: healthy.time_s,
-        healthy_gflops: healthy.gflops,
-        digest,
-    }
+    fleet_loop(opts, None).0
 }
 
 impl Record for SeedOutcome {
@@ -292,11 +278,23 @@ pub fn run_fleet_stored(
     opts: &FleetOptions,
     store: &ResultStore,
 ) -> (FleetResult, FleetStoreStats) {
+    fleet_loop(opts, Some(store))
+}
+
+/// The one fleet loop behind [`run_fleet`] and [`run_fleet_stored`]:
+/// the healthy baselines, the thread-striped per-seed map (through
+/// `store` when one is given) and the result assembly. Without a store
+/// every seed counts as a miss.
+fn fleet_loop(opts: &FleetOptions, store: Option<&ResultStore>) -> (FleetResult, FleetStoreStats) {
     let cfg = paper_cluster();
     let ncfg = fleet_native_cluster();
     let healthy = simulate_cluster(&cfg, false).report;
     let native_healthy_s = simulate_native_cluster(&ncfg).time_s;
     let evaluated = striped_map(opts.seeds, opts.threads, |i| {
+        let eval = || eval_seed(&cfg, &ncfg, healthy.time_s, native_healthy_s, opts, i);
+        let Some(store) = store else {
+            return (eval(), false);
+        };
         let seed = opts.seed0.wrapping_add(i as u64);
         let key = fleet_seed_key(
             seed,
@@ -313,7 +311,7 @@ pub fn run_fleet_stored(
                 return (out, true);
             }
         }
-        let out = eval_seed(&cfg, &ncfg, healthy.time_s, native_healthy_s, opts, i);
+        let out = eval();
         // A failed write-back costs a future hit, never correctness.
         let _ = store.put(key, &out);
         (out, false)

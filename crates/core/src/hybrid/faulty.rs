@@ -68,6 +68,17 @@ use phi_des::{Kind, Trace};
 use phi_fabric::{NetModel, ProcessGrid, RemapStrategy, ScheduleShape};
 use phi_faults::{Effects, FaultPlan, Fnv};
 
+/// Bandwidth at which checkpoints are written, bytes/s (host memory
+/// copy to a retained region; well above PCIe, below STREAM).
+const CHECKPOINT_BW: f64 = 8e9;
+/// Fixed cost of one §V dynamic work re-division after a card loss
+/// (draining queues, re-partitioning tiles, re-arming DMA).
+const REBALANCE_S: f64 = 0.25;
+/// Per-link bandwidth at which the trailing matrix is redistributed
+/// after a host death, bytes/s. Survivors pull in parallel, so the
+/// aggregate rate is `survivors ×` this.
+const REDISTRIBUTION_BW: f64 = 6.8e9;
+
 /// Fault-tolerance policy of the run: what the cluster pays up front
 /// (checkpoints) and what recovery costs when a card dies.
 #[derive(Clone, Copy, Debug)]
@@ -76,16 +87,6 @@ pub struct FtPolicy {
     /// card death only loses the in-flight stage's update, not the
     /// whole factorization state.
     pub checkpoint_panels: bool,
-    /// Bandwidth at which checkpoints are written, bytes/s (host memory
-    /// copy to a retained region; well above PCIe, below STREAM).
-    pub checkpoint_bw: f64,
-    /// Fixed cost of one §V dynamic work re-division after a card loss
-    /// (draining queues, re-partitioning tiles, re-arming DMA).
-    pub rebalance_s: f64,
-    /// Per-link bandwidth at which the trailing matrix is redistributed
-    /// after a host death, bytes/s. Survivors pull in parallel, so the
-    /// aggregate rate is `survivors ×` this.
-    pub redistribution_bw: f64,
     /// How surviving ranks re-own the dead ranks' blocks after a host
     /// death: a locality-preserving patch (default) or a wholesale
     /// reshape onto a fallback grid.
@@ -104,9 +105,6 @@ impl FtPolicy {
     pub fn none() -> Self {
         Self {
             checkpoint_panels: false,
-            checkpoint_bw: 8e9,
-            rebalance_s: 0.25,
-            redistribution_bw: 6.8e9,
             remap: RemapStrategy::default(),
             death_budget: None,
         }
@@ -224,12 +222,12 @@ pub fn simulate_cluster_faulty(
             let newly_dead = deaths_now - deaths_applied;
             let restore = if policy.checkpoint_panels {
                 // Reload factorization state from the panel checkpoints.
-                8.0 * ((cfg.n / grid.p).max(nb) * nb) as f64 / policy.checkpoint_bw
+                8.0 * ((cfg.n / grid.p).max(nb) * nb) as f64 / CHECKPOINT_BW
             } else {
                 // No checkpoint: the in-flight stage's update replays.
                 prev_update
             };
-            let cost = newly_dead as f64 * (policy.rebalance_s + restore);
+            let cost = newly_dead as f64 * (REBALANCE_S + restore);
             trace.record(2, total, total + cost, Kind::Recovery);
             total += cost;
             recovery_s += cost;
@@ -283,7 +281,7 @@ pub fn simulate_cluster_faulty(
                     moved_elems += remap.moved_trailing_elements(stage, s, cfg.nb, cfg.n);
                     patched_dead.push(rank);
                 }
-                8.0 * moved_elems / (survivors as f64 * policy.redistribution_bw)
+                8.0 * moved_elems / (survivors as f64 * REDISTRIBUTION_BW)
             } else {
                 // Wholesale reshape: the whole trailing matrix moves to
                 // the fallback grid's block-cyclic ownership.
@@ -291,9 +289,9 @@ pub fn simulate_cluster_faulty(
                 blocks_moved += phi_fabric::PatchRemap::wholesale_trailing_blocks(stage, s);
                 grid = ProcessGrid::fallback_grid(survivors);
                 let trailing = (cfg.n - factored_cols) as f64;
-                8.0 * trailing * trailing / (survivors as f64 * policy.redistribution_bw)
+                8.0 * trailing * trailing / (survivors as f64 * REDISTRIBUTION_BW)
             };
-            let cost = newly as f64 * policy.rebalance_s + restore + redistribution;
+            let cost = newly as f64 * REBALANCE_S + restore + redistribution;
             trace.record(2, total, total + cost, Kind::Recovery);
             total += cost;
             recovery_s += cost;
@@ -331,8 +329,7 @@ pub fn simulate_cluster_faulty(
             // longer). Exactly `× 1.0` with no patched deaths.
             parts.update *= imbalance;
             parts.busy *= imbalance;
-            let composed = parts.compose(cfg.lookahead, cfg.strips, cfg.pipeline_overhead);
-            (parts, composed)
+            (parts, parts.compose(cfg.lookahead))
         };
         let (_, (est_time, _, _)) = price(&cfg.net, &cfg.offload);
         let eff = plan.effects_over(total, total + est_time);
@@ -359,7 +356,7 @@ pub fn simulate_cluster_faulty(
             // its pivots are copied to a retained host region before the
             // stage retires.
             let (m_panel_loc, _) = stage::panel_shape(cfg, grid.p, stage);
-            let ckpt = (8.0 * (m_panel_loc * nb) as f64 + 8.0 * nb as f64) / policy.checkpoint_bw;
+            let ckpt = (8.0 * (m_panel_loc * nb) as f64 + 8.0 * nb as f64) / CHECKPOINT_BW;
             trace.record(0, total, total + ckpt, Kind::Comm);
             total += ckpt;
             checkpoint_s += ckpt;

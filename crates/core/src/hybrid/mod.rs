@@ -88,19 +88,6 @@ pub struct HybridConfig {
     /// Host memory per node, GiB (gates the problem size; Table III's
     /// fourth section doubles it to 128 GB).
     pub host_mem_gib: f64,
-    /// Host cores reserved for packing/DMA when cards are present.
-    pub pack_cores: f64,
-    /// Host cores joining the trailing update by work stealing.
-    pub host_update_cores: f64,
-    /// Strips used by the pipelined scheme.
-    pub strips: usize,
-    /// Fractional per-stage overhead the pipelining adds to the host path
-    /// (extra messages/synchronization that "delays panel factorization").
-    pub pipeline_overhead: f64,
-    /// Efficiency of the host's LU machinery relative to raw MKL DGEMM
-    /// (look-ahead bookkeeping, ragged tiles) — calibrated to the MKL MP
-    /// Linpack rows of Table III.
-    pub host_lu_efficiency: f64,
     /// Host/card division of the trailing update.
     pub division: WorkDivision,
     /// Panel-broadcast algorithm along the process row.
@@ -119,11 +106,6 @@ impl HybridConfig {
             net: NetModel::default(),
             lookahead: Lookahead::Pipelined,
             host_mem_gib: 64.0,
-            pack_cores: 2.0,
-            host_update_cores: 11.0,
-            strips: 12,
-            pipeline_overhead: 0.12,
-            host_lu_efficiency: 0.95,
             division: WorkDivision::Dynamic,
             bcast: BcastScheme::Ring,
         }
@@ -244,8 +226,7 @@ fn run_cluster(cfg: &HybridConfig, keep_profiles: bool, des_every: Option<usize>
             }
         }
 
-        let (stage_time, three_exposed, panel_exposed) =
-            parts.compose(cfg.lookahead, cfg.strips, cfg.pipeline_overhead);
+        let (stage_time, three_exposed, panel_exposed) = parts.compose(cfg.lookahead);
 
         total += stage_time;
         card_busy_total += parts.busy;
@@ -288,13 +269,13 @@ fn des_update(cfg: &HybridConfig, rows_loc: usize, cols_loc: usize) -> Option<Of
             rows_loc,
             cols_loc,
             cfg.cards_per_node,
-            cfg.host_update_cores,
+            stage::HOST_UPDATE_CORES,
         )),
         WorkDivision::Static { card_fraction } if cfg.cards_per_node == 1 => {
             Some(cfg.offload.simulate_static_split(
                 rows_loc,
                 cols_loc,
-                cfg.host_update_cores,
+                stage::HOST_UPDATE_CORES,
                 (6, 6),
                 card_fraction,
             ))

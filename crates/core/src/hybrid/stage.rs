@@ -25,6 +25,20 @@ use super::{HybridConfig, Lookahead, WorkDivision};
 use crate::offload::OffloadModel;
 use phi_fabric::{ceil_log2, NetModel, ProcessGrid};
 
+/// Host cores reserved for packing/DMA when cards are present.
+const PACK_CORES: f64 = 2.0;
+/// Host cores joining the trailing update by work stealing.
+pub(super) const HOST_UPDATE_CORES: f64 = 11.0;
+/// Strips used by the pipelined scheme.
+pub(super) const STRIPS: usize = 12;
+/// Fractional per-stage overhead the pipelining adds to the host path
+/// (extra messages/synchronization that "delays panel factorization").
+const PIPELINE_OVERHEAD: f64 = 0.12;
+/// Efficiency of the host's LU machinery relative to raw MKL DGEMM
+/// (look-ahead bookkeeping, ragged tiles) — calibrated to the MKL MP
+/// Linpack rows of Table III.
+const HOST_LU_EFFICIENCY: f64 = 0.95;
+
 /// What a stage is priced against: the run's configuration plus the
 /// machine state the stage actually sees.
 #[derive(Clone, Copy, Debug)]
@@ -119,7 +133,7 @@ pub(crate) fn parts(env: &StageEnv, stage: usize, rows_loc: usize, cols_loc: usi
 
     // Panel: distributed down the owner column; pivot search adds a
     // per-column exchange across P.
-    let panel_cores = host_cores - if env.cards > 0 { cfg.pack_cores } else { 0.0 };
+    let panel_cores = host_cores - if env.cards > 0 { PACK_CORES } else { 0.0 };
     let panel = host.panel_time_s(m_panel_loc, nb, panel_cores)
         + if p > 1 {
             nb as f64 * 2.0 * net.latency * ceil_log2(p) as f64
@@ -139,13 +153,13 @@ pub(crate) fn parts(env: &StageEnv, stage: usize, rows_loc: usize, cols_loc: usi
         let out = match cfg.division {
             WorkDivision::Dynamic => {
                 env.offload
-                    .analytic(rows_loc, cols_loc, env.cards, cfg.host_update_cores)
+                    .analytic(rows_loc, cols_loc, env.cards, HOST_UPDATE_CORES)
             }
             WorkDivision::Static { card_fraction } => env.offload.analytic_split(
                 rows_loc,
                 cols_loc,
                 env.cards,
-                cfg.host_update_cores,
+                HOST_UPDATE_CORES,
                 card_fraction,
             ),
         };
@@ -154,7 +168,7 @@ pub(crate) fn parts(env: &StageEnv, stage: usize, rows_loc: usize, cols_loc: usi
         // No card (CPU-only run, or §V re-division with the card share
         // forced to zero): the host's full core set takes the update.
         (
-            host.gemm_time_s(rows_loc, cols_loc, nb, host_cores) / cfg.host_lu_efficiency,
+            host.gemm_time_s(rows_loc, cols_loc, nb, host_cores) / HOST_LU_EFFICIENCY,
             0.0,
         )
     };
@@ -192,12 +206,7 @@ impl StageParts {
     /// Overlaps the ingredients under `lookahead` (Fig. 8) and returns
     /// `(stage_time, three_exposed, panel_exposed)`.
     #[inline]
-    pub(crate) fn compose(
-        &self,
-        lookahead: Lookahead,
-        strips: usize,
-        pipeline_overhead: f64,
-    ) -> (f64, f64, f64) {
+    pub(crate) fn compose(&self, lookahead: Lookahead) -> (f64, f64, f64) {
         let three = self.three();
         match lookahead {
             Lookahead::None => (
@@ -216,10 +225,10 @@ impl StageParts {
             Lookahead::Pipelined => {
                 // Only the first strip of the three steps is exposed; the
                 // rest hides under the update. The strip machinery costs
-                // `pipeline_overhead` of the three steps, paid on the host
+                // `PIPELINE_OVERHEAD` of the three steps, paid on the host
                 // path where it delays the panel.
-                let first_strip = three / strips as f64;
-                let host_path = self.pre + self.panel + self.pbcast + three * pipeline_overhead;
+                let first_strip = three / STRIPS as f64;
+                let host_path = self.pre + self.panel + self.pbcast + three * PIPELINE_OVERHEAD;
                 let card_path = self.update + first_strip;
                 (
                     card_path.max(host_path),
@@ -261,11 +270,11 @@ mod tests {
         let cfg = HybridConfig::new(84_000, ProcessGrid::new(1, 1), 1);
         let (rows, cols) = worst_extents(cfg.grid, cfg.n, cfg.nb, 5);
         let p = parts(&StageEnv::healthy(&cfg), 5, rows, cols);
-        let time = |la| p.compose(la, cfg.strips, cfg.pipeline_overhead).0;
+        let time = |la| p.compose(la).0;
         assert!(time(Lookahead::None) > time(Lookahead::Basic));
         assert!(time(Lookahead::Basic) > time(Lookahead::Pipelined));
         // No look-ahead is the plain sum.
-        let (t, three, panel) = p.compose(Lookahead::None, 12, 0.12);
+        let (t, three, panel) = p.compose(Lookahead::None);
         assert_eq!(t, p.panel + p.pbcast + p.three() + p.update);
         assert_eq!((three, panel), (p.three(), p.panel + p.pbcast));
     }

@@ -8,7 +8,8 @@
 //! structure: serial everything (8a), panel under update (8b), and the
 //! swap/DTRSM/U-broadcast strips pipelined against the update (8c).
 
-use super::{stage, HybridConfig, Lookahead, StageEnv};
+use super::stage::{self, STRIPS};
+use super::{HybridConfig, Lookahead, StageEnv};
 use phi_des::{Kind, Trace};
 
 /// Lane index of the host in the produced traces.
@@ -48,7 +49,7 @@ fn stage_times(cfg: &HybridConfig, stage: usize) -> StageTimes {
 
 /// Builds the Fig. 8 trace of one iteration under `scheme`. Returns the
 /// trace and the iteration's wall time.
-fn scheme_gantt(t: &StageTimes, scheme: Lookahead, strips: usize) -> (Trace, f64) {
+fn scheme_gantt(t: &StageTimes, scheme: Lookahead) -> (Trace, f64) {
     let mut tr = Trace::default();
     tr.enable();
     match scheme {
@@ -96,12 +97,11 @@ fn scheme_gantt(t: &StageTimes, scheme: Lookahead, strips: usize) -> (Trace, f64
             // Fig. 8c: the three steps are cut into column strips; the
             // card starts updating as soon as strip 0 lands and each
             // subsequent strip hides under the running update.
-            let strips = strips.max(1);
             let three = t.swap + t.trsm + t.ubcast;
-            let strip = three / strips as f64;
+            let strip = three / STRIPS as f64;
             let mut now = 0.0;
-            for s in 0..strips {
-                let frac = |x: f64| x / strips as f64;
+            for s in 0..STRIPS {
+                let frac = |x: f64| x / STRIPS as f64;
                 tr.record(HOST_LANE, now, now + frac(t.swap), Kind::Swap);
                 tr.record(
                     HOST_LANE,
@@ -142,7 +142,7 @@ pub fn fig8_render(cfg: &HybridConfig, stage: usize, width: usize) -> String {
         (Lookahead::Basic, "basic look-ahead (Fig. 8b)"),
         (Lookahead::Pipelined, "pipelined look-ahead (Fig. 8c)"),
     ] {
-        let (trace, dur) = scheme_gantt(&t, scheme, cfg.strips);
+        let (trace, dur) = scheme_gantt(&t, scheme);
         out.push_str(&format!(
             "{label}: iteration {dur:.3}s  (lane 0 = host, lane 1 = card; \
              P=panel S=swap T=DTRSM C=bcast G=update .=idle)\n"
@@ -165,9 +165,9 @@ mod tests {
     #[test]
     fn scheme_durations_are_ordered() {
         let t = stage_times(&cfg(), 5);
-        let (_, none) = scheme_gantt(&t, Lookahead::None, 12);
-        let (_, basic) = scheme_gantt(&t, Lookahead::Basic, 12);
-        let (_, pipe) = scheme_gantt(&t, Lookahead::Pipelined, 12);
+        let (_, none) = scheme_gantt(&t, Lookahead::None);
+        let (_, basic) = scheme_gantt(&t, Lookahead::Basic);
+        let (_, pipe) = scheme_gantt(&t, Lookahead::Pipelined);
         assert!(none > basic, "{none} vs {basic}");
         assert!(basic > pipe, "{basic} vs {pipe}");
     }
@@ -176,7 +176,7 @@ mod tests {
     fn card_idle_shrinks_with_pipelining() {
         let t = stage_times(&cfg(), 5);
         let idle = |scheme| {
-            let (tr, dur) = scheme_gantt(&t, scheme, 12);
+            let (tr, dur) = scheme_gantt(&t, scheme);
             1.0 - tr.lane_busy_fraction(CARD_LANE, dur)
         };
         let i_none = idle(Lookahead::None);

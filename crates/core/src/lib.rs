@@ -22,7 +22,7 @@
 //!   (used at small N by tests and examples, validated with the HPL
 //!   residual criterion), and
 //! * a **model backend** in which the same control flow advances virtual
-//!   time from the calibrated `phi-knc` / `phi-xeon` machine models (used
+//!   time from the calibrated `phi-knc` / [`xeon`] machine models (used
 //!   at paper scale by the benchmark regenerators).
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -38,6 +38,7 @@ pub mod offload;
 pub mod refine;
 pub mod report;
 mod workload;
+pub mod xeon;
 
 pub use distributed::factorize_distributed;
 pub use hpldat::HplDat;

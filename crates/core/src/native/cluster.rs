@@ -22,6 +22,15 @@ use crate::report::GigaflopsReport;
 use phi_fabric::{NetModel, PatchRemap, ProcessGrid, RemapStrategy, ScheduleShape};
 use phi_knc::{LuTaskModel, Precision};
 
+/// Extra store-and-forward latency per network operation: without a
+/// host, the card reaches the NIC over PCIe (seconds).
+const NIC_HOP_S: f64 = 8e-6;
+/// Utilization of the per-card dynamic DAG scheduler (panel
+/// displacement, wave tails, super-stage barriers) on top of the
+/// task model's own group-sync drag; calibrated so a 1x1 "cluster"
+/// matches the event-driven single-card simulation at N = 30K.
+const DAG_UTILIZATION: f64 = 0.99;
+
 /// Configuration of a native multi-node run.
 #[derive(Clone, Copy, Debug)]
 pub struct NativeClusterConfig {
@@ -35,14 +44,6 @@ pub struct NativeClusterConfig {
     pub tasks: LuTaskModel,
     /// Inter-node network.
     pub net: NetModel,
-    /// Extra store-and-forward latency per network operation: without a
-    /// host, the card reaches the NIC over PCIe (seconds).
-    pub nic_hop_s: f64,
-    /// Utilization of the per-card dynamic DAG scheduler (panel
-    /// displacement, wave tails, super-stage barriers) on top of the
-    /// task model's own group-sync drag; calibrated so a 1x1 "cluster"
-    /// matches the event-driven single-card simulation at N = 30K.
-    pub dag_utilization: f64,
 }
 
 impl NativeClusterConfig {
@@ -54,8 +55,6 @@ impl NativeClusterConfig {
             grid: ProcessGrid::new(p, q),
             tasks: LuTaskModel::default(),
             net: NetModel::default(),
-            nic_hop_s: 8e-6,
-            dag_utilization: 0.99,
         }
     }
 
@@ -165,7 +164,7 @@ pub fn simulate_native_cluster_ft(
             let newly = lost_now - nodes_lost;
             let survivors = size - lost_now;
             let restore = if checkpoint {
-                cfg.net.p2p(8.0 * (m_panel_loc * nb) as f64) + cfg.nic_hop_s
+                cfg.net.p2p(8.0 * (m_panel_loc * nb) as f64) + NIC_HOP_S
             } else {
                 prev_stage
             };
@@ -213,7 +212,7 @@ pub fn simulate_native_cluster_ft(
 
         if checkpoint {
             // Mirror the factored panel to the ring neighbor's GDDR.
-            let ckpt = cfg.net.p2p(8.0 * (m_panel_loc * nb) as f64) + cfg.nic_hop_s;
+            let ckpt = cfg.net.p2p(8.0 * (m_panel_loc * nb) as f64) + NIC_HOP_S;
             total += ckpt;
             checkpoint_s += ckpt;
         }
@@ -298,18 +297,18 @@ fn native_stage_time(
     let m_panel_loc = ((cfg.n - stage * cfg.nb) / p).max(nb);
     let panel = t.panel_time_s(m_panel_loc, nb, cores / 4.0) * redivide * slowdown;
     let pbcast = net.ring_bcast(8.0 * (m_panel_loc * nb) as f64, q)
-        + cfg.nic_hop_s * (q.saturating_sub(1)) as f64;
+        + NIC_HOP_S * (q.saturating_sub(1)) as f64;
 
     // Swap and U broadcast down the columns.
     let swap =
         t.swap_time_s(nb, cols_loc, cores) * redivide * slowdown + net.long_swap(nb, cols_loc, p);
     let trsm = t.trsm_time_s(nb, cols_loc, cores) * redivide * slowdown;
-    let ubcast = net.u_bcast(nb, cols_loc, p) + cfg.nic_hop_s * (p.saturating_sub(1)) as f64;
+    let ubcast = net.u_bcast(nb, cols_loc, p) + NIC_HOP_S * (p.saturating_sub(1)) as f64;
 
     // Trailing update on the whole card (DAG scheduling hides the panel
     // under it, as in the single-card native flavour).
     let update = if rows_loc > 0 && cols_loc > 0 {
-        t.update_time_s(rows_loc, cols_loc, nb, cores) / cfg.dag_utilization * redivide * slowdown
+        t.update_time_s(rows_loc, cols_loc, nb, cores) / DAG_UTILIZATION * redivide * slowdown
     } else {
         0.0
     };

@@ -16,15 +16,18 @@
 //! each Knights Corner is only solving half the problem size".
 
 use super::tile_spans;
+use crate::xeon::XeonModel;
 use phi_des::{Kind, Sim};
 use phi_fabric::PcieConfig;
 use phi_knc::{GemmModel, Precision};
 use phi_sched::TileDeque;
-use phi_xeon::XeonModel;
 use std::cell::RefCell;
 // lint:allow(unstable-iteration-order): membership tests only, never iterated.
 use std::collections::HashSet;
 use std::rc::Rc;
+
+/// Inner GEMM blocking on the card (`k = 300`, Table II's best).
+const K_INNER: usize = 300;
 
 /// Timed offload-DGEMM engine.
 #[derive(Clone, Copy, Debug)]
@@ -37,8 +40,6 @@ pub struct OffloadModel {
     pub pcie: PcieConfig,
     /// Tile depth (`Kt = 1200` in the paper's experiments).
     pub kt: usize,
-    /// Inner GEMM blocking on the card (`k = 300`, Table II's best).
-    pub k_inner: usize,
 }
 
 impl Default for OffloadModel {
@@ -48,7 +49,6 @@ impl Default for OffloadModel {
             host: XeonModel::default(),
             pcie: PcieConfig::default(),
             kt: 1200,
-            k_inner: 300,
         }
     }
 }
@@ -95,7 +95,7 @@ impl OffloadModel {
     fn tile_time_card(&self, mt: usize, nt: usize) -> f64 {
         let eff = self
             .card
-            .outer_product_efficiency(mt, nt, self.k_inner, Precision::F64);
+            .outer_product_efficiency(mt, nt, K_INNER, Precision::F64);
         let peak = self.card.chip.native_peak_gflops(Precision::F64) * 1e9;
         2.0 * mt as f64 * nt as f64 * self.kt as f64 / (eff.max(1e-3) * peak)
     }

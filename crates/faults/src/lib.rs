@@ -661,6 +661,45 @@ impl CampaignScope {
     }
 }
 
+/// The plain single-target fault kinds every campaign draws, one per
+/// `pick`: link degrade, latency jitter, CRC storm, straggler, card
+/// death on one of `cards`, host death on one of `nodes` (`pick ≥ 5`).
+/// Transient kinds last `window` seconds. The draws from `rng` are the
+/// campaigns' replay contract: their order and ranges never change.
+fn plain_kind(
+    rng: &mut FaultRng,
+    pick: usize,
+    window: f64,
+    cards: usize,
+    nodes: usize,
+) -> FaultKind {
+    match pick {
+        0 => FaultKind::LinkDegrade {
+            factor: rng.range(0.25, 0.9),
+            duration_s: window,
+        },
+        1 => FaultKind::LatencyJitter {
+            sigma_s: rng.range(1e-6, 40e-6),
+            duration_s: window,
+        },
+        2 => FaultKind::PcieCrcStorm {
+            stall_s: rng.range(5e-6, 200e-6),
+            duration_s: window,
+        },
+        3 => FaultKind::Straggler {
+            core_fraction: rng.range(0.05, 0.5),
+            slowdown: rng.range(1.2, 3.0),
+            duration_s: window,
+        },
+        4 => FaultKind::CardDeath {
+            card: rng.index(0, cards),
+        },
+        _ => FaultKind::HostDeath {
+            rank: rng.index(0, nodes),
+        },
+    }
+}
+
 /// A deterministic, replayable fault schedule.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
@@ -699,28 +738,8 @@ impl FaultPlan {
         for _ in 0..count {
             let at_s = rng.range(0.0, horizon_s);
             let window = rng.range(0.02, 0.25) * horizon_s;
-            let kind = match rng.index(0, 5) {
-                0 => FaultKind::LinkDegrade {
-                    factor: rng.range(0.25, 0.9),
-                    duration_s: window,
-                },
-                1 => FaultKind::LatencyJitter {
-                    sigma_s: rng.range(1e-6, 40e-6),
-                    duration_s: window,
-                },
-                2 => FaultKind::PcieCrcStorm {
-                    stall_s: rng.range(5e-6, 200e-6),
-                    duration_s: window,
-                },
-                3 => FaultKind::Straggler {
-                    core_fraction: rng.range(0.05, 0.5),
-                    slowdown: rng.range(1.2, 3.0),
-                    duration_s: window,
-                },
-                _ => FaultKind::CardDeath {
-                    card: rng.index(0, 2),
-                },
-            };
+            let pick = rng.index(0, 5);
+            let kind = plain_kind(&mut rng, pick, window, 2, 1);
             events.push(FaultEvent::new(at_s, kind));
         }
         Self::from_events(events)
@@ -749,45 +768,8 @@ impl FaultPlan {
             let at_s = rng.range(0.0, horizon_s);
             let window = rng.range(0.02, 0.25) * horizon_s;
             let (kind, escalates_to) = match rng.index(0, 8) {
-                0 => (
-                    FaultKind::LinkDegrade {
-                        factor: rng.range(0.25, 0.9),
-                        duration_s: window,
-                    },
-                    None,
-                ),
-                1 => (
-                    FaultKind::LatencyJitter {
-                        sigma_s: rng.range(1e-6, 40e-6),
-                        duration_s: window,
-                    },
-                    None,
-                ),
-                2 => (
-                    FaultKind::PcieCrcStorm {
-                        stall_s: rng.range(5e-6, 200e-6),
-                        duration_s: window,
-                    },
-                    None,
-                ),
-                3 => (
-                    FaultKind::Straggler {
-                        core_fraction: rng.range(0.05, 0.5),
-                        slowdown: rng.range(1.2, 3.0),
-                        duration_s: window,
-                    },
-                    None,
-                ),
-                4 => (
-                    FaultKind::CardDeath {
-                        card: rng.index(0, cards_per_node.max(1)),
-                    },
-                    None,
-                ),
-                5 => (
-                    FaultKind::HostDeath {
-                        rank: rng.index(0, nodes),
-                    },
+                pick @ 0..=5 => (
+                    plain_kind(&mut rng, pick, window, cards_per_node.max(1), nodes),
                     None,
                 ),
                 6 => (
@@ -938,31 +920,8 @@ impl FaultPlan {
                 _ => {
                     // Plain single-target kinds, same families as
                     // `cluster_campaign`.
-                    let kind = match rng.index(0, 6) {
-                        0 => FaultKind::LinkDegrade {
-                            factor: rng.range(0.25, 0.9),
-                            duration_s: window,
-                        },
-                        1 => FaultKind::LatencyJitter {
-                            sigma_s: rng.range(1e-6, 40e-6),
-                            duration_s: window,
-                        },
-                        2 => FaultKind::PcieCrcStorm {
-                            stall_s: rng.range(5e-6, 200e-6),
-                            duration_s: window,
-                        },
-                        3 => FaultKind::Straggler {
-                            core_fraction: rng.range(0.05, 0.5),
-                            slowdown: rng.range(1.2, 3.0),
-                            duration_s: window,
-                        },
-                        4 => FaultKind::CardDeath {
-                            card: rng.index(0, cards_per_node.max(1)),
-                        },
-                        _ => FaultKind::HostDeath {
-                            rank: rng.index(0, nodes),
-                        },
-                    };
+                    let pick = rng.index(0, 6);
+                    let kind = plain_kind(&mut rng, pick, window, cards_per_node.max(1), nodes);
                     FaultEvent::new(at_s, kind)
                 }
             };
@@ -1802,6 +1761,30 @@ mod tests {
             .map(|p| p.total_host_deaths())
             .sum();
         assert!(batch >= 8, "rack campaigns too quiet: {batch} deaths");
+    }
+
+    #[test]
+    fn campaign_fingerprints_are_pinned() {
+        // The campaigns' RNG draw order and ranges are their replay
+        // contract: every seeded plan on disk or in a golden depends on
+        // them, so these digests may only move with a deliberate change.
+        let seed = 0xFA_0175;
+        assert_eq!(
+            FaultPlan::campaign(seed, 3600.0, 24).fingerprint(),
+            0xa0f783836378983d
+        );
+        assert_eq!(
+            FaultPlan::cluster_campaign(seed, 3600.0, 24, 100, 2).fingerprint(),
+            0x5ec326947c5d0e81
+        );
+        for (scope, want) in [
+            (CampaignScope::Mixed, 0x2336dc655587b86b),
+            (CampaignScope::Rack, 0xc0edfead92e5e5f6),
+            (CampaignScope::Storm, 0xe45b971f5872dcdb),
+        ] {
+            let plan = FaultPlan::fleet_campaign(seed, 3600.0, 24, 100, 2, scope);
+            assert_eq!(plan.fingerprint(), want, "{scope:?}");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! [`phi_serve::ResultStore`].
 //!
 //! A tuning result is stored under an FNV-1a key over the machine
-//! fingerprint, the search-space signature, the seed and the tuner
-//! version — the same content-addressing scheme `phi-faults` uses for
-//! replay fingerprints. The framing (header line, hex-bit `f64` text,
+//! fingerprint, the search-space signature, every [`TuneOptions`] field
+//! that changes the outcome and the tuner version — the same
+//! content-addressing scheme `phi-faults` uses for replay
+//! fingerprints. The framing (header line, hex-bit `f64` text,
 //! `end <fnv>` integrity trailer, `tune-<key>.txt` file naming) now
 //! lives in `phi-serve`'s generic store; this module contributes only
 //! the [`TuneOutcome`] field layout via a [`Record`] implementation.
@@ -13,7 +14,7 @@
 //! two runs with the same key still produce byte-identical files
 //! (wall time and the cache-hit flag are deliberately excluded).
 
-use crate::search::{ScoredCandidate, TuneOutcome, TunedConfig};
+use crate::search::{ScoredCandidate, TuneOptions, TuneOutcome, TunedConfig};
 use crate::space::{Candidate, MachineConfig, TuneSpace};
 use phi_fabric::BcastScheme;
 use phi_hpl::hybrid::{Lookahead, WorkDivision};
@@ -35,13 +36,18 @@ pub(crate) use phi_serve::store::StoreReadError as CacheReadError;
 /// `end <fnv>` integrity trailer.
 const TUNER_VERSION: u64 = 2;
 
-/// The content-addressed cache key of a tuning run.
-pub(crate) fn cache_key(machine: &MachineConfig, space: &TuneSpace, seed: u64) -> u64 {
+/// The content-addressed cache key of a tuning run: every input that
+/// changes the outcome. `opts.threads` is left out because it never
+/// does (evaluations merge by index).
+pub(crate) fn cache_key(machine: &MachineConfig, space: &TuneSpace, opts: &TuneOptions) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(TUNER_VERSION);
     h.write_u64(machine.fingerprint());
     h.write_u64(space.signature());
-    h.write_u64(seed);
+    h.write_u64(opts.seed);
+    h.write_u64(opts.refine_rounds as u64);
+    h.write_u64(opts.sample_every as u64);
+    h.write_u64(opts.coarse_only as u64);
     h.finish()
 }
 
@@ -282,16 +288,61 @@ mod tests {
         );
 
         // A different machine fingerprint keys differently.
+        let key = cache_key(&m, &space, &opts);
         let other = MachineConfig { n: 60_000, ..m };
-        assert_ne!(
-            cache_key(&m, &space, opts.seed),
-            cache_key(&other, &TuneSpace::coarse(&other), opts.seed)
+        assert_ne!(key, cache_key(&other, &TuneSpace::coarse(&other), &opts));
+        // So does every option that shapes the result; `threads` does not.
+        for changed in [
+            TuneOptions {
+                seed: opts.seed + 1,
+                ..opts
+            },
+            TuneOptions {
+                refine_rounds: opts.refine_rounds + 1,
+                ..opts
+            },
+            TuneOptions {
+                sample_every: opts.sample_every + 1,
+                ..opts
+            },
+            TuneOptions {
+                coarse_only: false,
+                ..opts
+            },
+        ] {
+            assert_ne!(key, cache_key(&m, &space, &changed), "{changed:?}");
+        }
+        assert_eq!(
+            key,
+            cache_key(&m, &space, &TuneOptions { threads: 3, ..opts })
         );
-        // A different seed keys differently too.
-        assert_ne!(
-            cache_key(&m, &space, opts.seed),
-            cache_key(&m, &space, opts.seed + 1)
-        );
+    }
+
+    #[test]
+    fn coarse_tune_does_not_serve_a_full_tune() {
+        // A smoke (coarse-only) tune and a full tune of the same machine
+        // share a cache directory; the full tune must search, not return
+        // the coarse outcome as a hit.
+        let dir = tmp_dir("coarse-then-full");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = TuneCache::open(&dir).unwrap();
+        let m = small_machine();
+        let space = TuneSpace::coarse(&m);
+        let coarse = TuneOptions {
+            coarse_only: true,
+            ..TuneOptions::default()
+        };
+        let smoke = tune_cached(&m, &space, &coarse, &cache).unwrap();
+        let full = tune_cached(&m, &space, &TuneOptions::default(), &cache).unwrap();
+        assert!(!full.cache_hit, "a full tune was served the coarse outcome");
+        assert_ne!(full.fingerprint, smoke.fingerprint);
+        assert!(full.candidates_evaluated > smoke.candidates_evaluated);
+        // Each outcome is still a hit under its own options.
+        assert!(tune_cached(&m, &space, &coarse, &cache).unwrap().cache_hit);
+        let again = tune_cached(&m, &space, &TuneOptions::default(), &cache).unwrap();
+        assert!(again.cache_hit);
+        assert_eq!(again.candidates_evaluated, full.candidates_evaluated);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

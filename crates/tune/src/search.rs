@@ -18,17 +18,18 @@ const EPSILON: f64 = 0.01;
 /// Rows kept in the persisted score table.
 const MAX_TABLE: usize = 16;
 
+/// Finalists carried out of the coarse phase.
+const FINALISTS: usize = 8;
+
 /// Knobs of a tuning run. All defaults are deterministic; `threads`
 /// only changes wall time, never the result (evaluations merge by
-/// index).
+/// index). Every other field is part of the cache key.
 #[derive(Clone, Copy, Debug)]
 pub struct TuneOptions {
-    /// Seed of the refinement proposals (part of the cache key).
+    /// Seed of the refinement proposals.
     pub seed: u64,
     /// Worker threads (0 = auto: available parallelism, capped at 8).
     pub threads: usize,
-    /// Finalists carried out of the coarse phase.
-    pub finalists: usize,
     /// Coordinate-descent rounds (each halves the finalist set).
     pub refine_rounds: usize,
     /// Stage-sampling cadence of the calibrated re-score.
@@ -42,7 +43,6 @@ impl Default for TuneOptions {
         Self {
             seed: 0x2013_0522, // the paper's conference date
             threads: 0,
-            finalists: 8,
             refine_rounds: 2,
             sample_every: 16,
             coarse_only: false,
@@ -121,8 +121,8 @@ impl TunedConfig {
 /// Everything a tuning run produces.
 #[derive(Clone, Debug)]
 pub struct TuneOutcome {
-    /// Cache key: FNV over machine fingerprint, space signature, seed
-    /// and tuner version.
+    /// Cache key: FNV over machine fingerprint, space signature, the
+    /// result-shaping options and tuner version.
     pub fingerprint: u64,
     /// The machine tuned for.
     pub machine: MachineConfig,
@@ -294,15 +294,16 @@ fn select(set: &[ScoredCandidate], baseline_key: CandidateKey) -> usize {
 }
 
 /// Runs the full search (no cache). Deterministic for a given
-/// `(machine, space, opts.seed)`; `opts.threads` never changes the
-/// result.
+/// `(machine, space, opts)`: the seed, `refine_rounds`, `sample_every`
+/// and `coarse_only` all shape the result, while `opts.threads` never
+/// changes it.
 ///
 /// # Panics
 /// Panics when the paper baseline configuration does not fit the
 /// machine — the never-regress guard needs it in the population.
 pub fn tune(machine: &MachineConfig, space: &TuneSpace, opts: &TuneOptions) -> TuneOutcome {
     let t0 = Instant::now(); // lint:allow(seed-bypass): wall time reported, not consumed
-    let fingerprint = cache::cache_key(machine, space, opts.seed);
+    let fingerprint = cache::cache_key(machine, space, opts);
     let baseline = Candidate::paper_baseline(machine);
     assert!(
         baseline.feasible(machine),
@@ -339,8 +340,7 @@ pub fn tune(machine: &MachineConfig, space: &TuneSpace, opts: &TuneOptions) -> T
     }
 
     // Phase 2: coordinate descent with successive halving.
-    let mut finalists: Vec<ScoredCandidate> =
-        scored.iter().take(opts.finalists.max(2)).cloned().collect();
+    let mut finalists: Vec<ScoredCandidate> = scored.iter().take(FINALISTS).cloned().collect();
     let mut seen: BTreeSet<CandidateKey> = pop.iter().map(Candidate::key).collect();
     let mut rng = TuneRng::new(opts.seed ^ machine.fingerprint());
     for _ in 0..opts.refine_rounds {
@@ -364,7 +364,7 @@ pub fn tune(machine: &MachineConfig, space: &TuneSpace, opts: &TuneOptions) -> T
                 }),
         );
         rank(&mut finalists);
-        let keep = (finalists.len() / 2).clamp(2, opts.finalists.max(2));
+        let keep = (finalists.len() / 2).clamp(2, FINALISTS);
         finalists.truncate(keep);
     }
 
@@ -436,8 +436,9 @@ fn pack(
 }
 
 /// [`tune`] behind a content-addressed cache: a prior run with the same
-/// machine fingerprint, space signature and seed is returned verbatim
-/// (with `cache_hit = true`) without evaluating a single candidate.
+/// machine fingerprint, space signature and options (`threads` aside)
+/// is returned verbatim (with `cache_hit = true`) without evaluating a
+/// single candidate.
 pub fn tune_cached(
     machine: &MachineConfig,
     space: &TuneSpace,
@@ -445,7 +446,7 @@ pub fn tune_cached(
     cache: &cache::TuneCache,
 ) -> std::io::Result<TuneOutcome> {
     let t0 = Instant::now(); // lint:allow(seed-bypass): wall time reported, not consumed
-    let key = cache::cache_key(machine, space, opts.seed);
+    let key = cache::cache_key(machine, space, opts);
     match cache.load_checked(key) {
         Ok(Some(mut out)) => {
             out.cache_hit = true;

@@ -9,7 +9,7 @@
 //! | [`matrix`] | `phi-matrix` | dense matrices, views, HPL generator, residual test |
 //! | [`blas`] | `phi-blas` | packed-tile GEMM (Fig. 3 layout), TRSM, LASWP, LU |
 //! | [`knc`] | `phi-knc` | KNC vector-ISA emulator, cycle-level core model, chip model |
-//! | [`xeon`] | `phi-xeon` | Sandy Bridge EP host model |
+//! | [`xeon`] | `phi-hpl::xeon` | Sandy Bridge EP host model |
 //! | [`des`] | `phi-des` | discrete-event engine, links, Gantt traces |
 //! | [`fabric`] | `phi-fabric` | PCIe + mm-queues, P×Q grids, InfiniBand model |
 //! | [`sched`] | `phi-sched` | panel DAG, thread groups, super-stages, tile stealing |
@@ -80,10 +80,10 @@ pub use phi_des as des;
 pub use phi_fabric as fabric;
 pub use phi_faults as faults;
 pub use phi_hpl as hpl;
+pub use phi_hpl::xeon;
 pub use phi_knc as knc;
 pub use phi_lint as lint;
 pub use phi_matrix as matrix;
 pub use phi_sched as sched;
 pub use phi_serve as serve;
 pub use phi_tune as tune;
-pub use phi_xeon as xeon;
