@@ -479,26 +479,6 @@ mod tests {
         assert!(matches!(err(&["tune", "--out"]), CliError::MissingValue(_)));
     }
 
-    #[test]
-    fn perfgate_flags_parse_and_reject() {
-        let ok = args(&["perfgate", "--baseline", "b.json", "--cache-dir", "c"]);
-        assert_eq!(ok.file("baseline").unwrap(), PathBuf::from("b.json"));
-        assert_eq!(ok.file("cache-dir").unwrap(), PathBuf::from("c"));
-        let dflt = args(&["perfgate"]);
-        assert_eq!(
-            dflt.file("baseline").unwrap(),
-            PathBuf::from("BENCH_baseline.json")
-        );
-        assert!(matches!(
-            err(&["perfgate", "--bogus"]),
-            CliError::UnknownArg { .. }
-        ));
-        assert!(matches!(
-            err(&["perfgate", "--baseline"]),
-            CliError::MissingValue(_)
-        ));
-    }
-
     /// Each of these made the former binaries panic (exit 101).
     #[test]
     fn former_crash_inputs_are_typed_errors() {
@@ -555,7 +535,7 @@ mod tests {
             assert!(matches!(parse(not_utf8), Err(CliError::NotUtf8(_))));
         }
         let names: std::collections::BTreeSet<_> = COMMANDS.iter().map(|c| c.name).collect();
-        assert_eq!(names.len(), 32, "32 distinct subcommands");
+        assert_eq!(names.len(), 30, "30 distinct subcommands");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::faults::{
 };
 use crate::fleet::{fleet_render, fleet_render_stored, FleetOptions};
 use crate::serve::{serve_load_render, ServeLoadOptions};
-use crate::{ablations, emudiff, lintgate, perfgate, schedlint, tune, workloads};
+use crate::{ablations, lintgate, schedlint, tune, workloads, FIXTURE_SEED};
 use phi_blas::gemm::{pack_a, pack_b, MicroKernelKind};
 use phi_fabric::{ProcessGrid, RemapStrategy};
 use phi_faults::CampaignScope;
@@ -34,8 +34,6 @@ const OUT: Flag = flag("out", Kind::Out);
 const GRID: Flag = flag("grid", Kind::Grid);
 const SCOPE: Flag = flag("scope", Kind::Choice(&["mixed", "rack", "storm"]));
 const JSON: Flag = flag("json", Kind::Switch);
-const INJECT: Flag = flag("inject", Kind::Switch);
-const CACHE_DIR: Flag = flag("cache-dir", Kind::Path(Some("target/tune-cache")));
 const fn int(name: &'static str, default: usize, min: usize) -> Flag {
     flag(name, Kind::Int { default, min })
 }
@@ -176,7 +174,7 @@ pub(super) static COMMANDS: &[Command] = &[
         "faults",
         "fault campaigns, single node and Table III cluster",
         &[
-            flag("seed", Kind::SeedArg(0xFA_0175)),
+            flag("seed", Kind::SeedArg(FIXTURE_SEED)),
             flag("single", Kind::Switch),
             flag("cluster", Kind::Switch),
             flag("remap", Kind::Choice(&["patch", "wholesale"])),
@@ -220,7 +218,7 @@ pub(super) static COMMANDS: &[Command] = &[
         &[
             flag("smoke", Kind::Switch),
             flag("out", Kind::Path(Some("BENCH_tune.json"))),
-            CACHE_DIR,
+            flag("cache-dir", Kind::Path(Some("target/tune-cache"))),
         ],
         tune,
     ),
@@ -233,15 +231,6 @@ pub(super) static COMMANDS: &[Command] = &[
         ],
         workloads,
     ),
-    command(
-        "perfgate",
-        "headline metrics vs BENCH_baseline.json (gate)",
-        &[
-            flag("baseline", Kind::Path(Some("BENCH_baseline.json"))),
-            CACHE_DIR,
-        ],
-        perfgate,
-    ),
     command("lint", "kernel static/dynamic lint (gate)", &[JSON], lint),
     command(
         "schedule-lint",
@@ -250,15 +239,9 @@ pub(super) static COMMANDS: &[Command] = &[
         schedule_lint,
     ),
     command(
-        "emu_diff",
-        "emulator fast path + DES digest equivalence (gate)",
-        &[INJECT],
-        emu_diff,
-    ),
-    command(
         "workload-diff",
         "SpMV/stencil conformance (gate)",
-        &[INJECT],
+        &[],
         workload_diff,
     ),
 ];
@@ -586,7 +569,7 @@ fn experiments_md(_: &Args) -> Result<Report, CliError> {
             100.0 * p.two_card_eff
         );
     }
-    s += &format!("\n{}", experiments_fault_section_md(0xFA_0175));
+    s += &format!("\n{}", experiments_fault_section_md(FIXTURE_SEED));
     s += "\n## Table III\n\n| system | N | P×Q | measured | paper |\n|---|---|---|---|---|\n";
     for r in table3_rows() {
         s += &format!(
@@ -770,14 +753,6 @@ fn workloads(a: &Args) -> Result<Report, CliError> {
     report(workloads::lab_render(&workloads::lab_rows(&kinds)))
 }
 
-/// `UPDATE_BASELINE=1` regenerates the baseline instead of comparing.
-fn perfgate(a: &Args) -> Result<Report, CliError> {
-    let update = std::env::var_os("UPDATE_BASELINE").is_some_and(|v| v != "0");
-    let (text, pass) =
-        perfgate::run_gate(&a.file("baseline")?, &a.file("cache-dir")?, update).map_err(failed)?;
-    verdict(text, pass)
-}
-
 fn lint(a: &Args) -> Result<Report, CliError> {
     let gate = lintgate::run();
     let text = if a.switch("json")? {
@@ -808,61 +783,20 @@ fn schedule_lint(a: &Args) -> Result<Report, CliError> {
     verdict(text, gate.passed())
 }
 
-/// The verdict both differential gates share, after `text`, their own
-/// report lines. Plain runs pass iff nothing failed. `--inject` is a
-/// must-fail self-test: the exit status is non-zero iff every injected
-/// divergence was `caught`, and CI inverts it.
-fn diff_gate(
-    gate: &str,
-    mut text: String,
-    fails: &[String],
-    inject: bool,
-    caught: [(&str, bool); 2],
-    ok: &str,
-) -> Result<Report, CliError> {
-    if inject {
-        let all = caught.iter().all(|&(_, c)| c);
-        if all {
-            text += &format!("{gate} --inject: both injected divergences caught\n");
-        } else {
-            let detail: Vec<String> = caught.iter().map(|(k, c)| format!("{k}={c}")).collect();
-            let detail = detail.join(" ");
-            eprintln!("{gate} --inject: injected divergence NOT caught ({detail})");
-        }
-        return verdict(text, !all);
+/// Passes iff every conformance check holds; each failure goes to
+/// stderr.
+fn workload_diff(_: &Args) -> Result<Report, CliError> {
+    let fails = workloads::workload_diff(false);
+    for f in &fails {
+        eprintln!("workload-diff: FAIL — {f}");
     }
-    for f in fails {
-        eprintln!("{gate}: FAIL — {f}");
-    }
-    if fails.is_empty() {
-        text += &format!("{gate}: PASS — {ok}\n");
-    }
-    verdict(text, fails.is_empty())
-}
-
-fn emu_diff(a: &Args) -> Result<Report, CliError> {
-    let inject = a.switch("inject")?;
-    let mut fails = emudiff::differential_sweep(inject);
-    let (reference, des_fails) = emudiff::des_digest_compare(inject);
-    fails.extend(des_fails);
-    let caught = [
-        ("emu", fails.iter().any(|f| f.contains("cycles diverged"))),
-        ("des", fails.iter().any(|f| f.contains("DES diverged"))),
-    ];
-    let ok = "fast path bit-identical, DES digests thread-count independent";
-    diff_gate("emu-diff", reference, &fails, inject, caught, ok)
-}
-
-fn workload_diff(a: &Args) -> Result<Report, CliError> {
-    let inject = a.switch("inject")?;
-    let fails = workloads::workload_diff(inject);
-    let caught = [
-        ("spmv", fails.iter().any(|f| f.contains("spmv: y diverged"))),
-        ("halo", fails.iter().any(|f| f.starts_with("halo:"))),
-    ];
-    let ok =
-        "spmv/stencil bit-identical on both paths, listings lint clean, halo volumes conserved";
-    diff_gate("workload-diff", String::new(), &fails, inject, caught, ok)
+    let text = if fails.is_empty() {
+        "workload-diff: PASS — spmv/stencil bit-identical on both paths, \
+         listings lint clean, halo volumes conserved\n"
+    } else {
+        ""
+    };
+    verdict(text.to_string(), fails.is_empty())
 }
 
 #[cfg(test)]

@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn cluster_table_covers_host_death_and_recovers() {
-        let rows = fault_campaign_cluster_rows(0xFA_0175, RemapStrategy::default());
+        let rows = fault_campaign_cluster_rows(crate::FIXTURE_SEED, RemapStrategy::default());
         // Zero-fault row is exactly healthy.
         assert!((rows[0].overhead).abs() < 1e-12);
         assert_eq!(rows[0].fallback, None);
@@ -492,6 +492,10 @@ mod tests {
             wh.blocks_moved
         );
         assert!(ck.recovery_s <= wh.recovery_s);
+        // Exact redistribution volumes: the patch ships the dead rank's
+        // 3 600 blocks, the reshape ships 360 000, a 100× reduction.
+        let volumes = (ck.blocks_moved, wh.blocks_moved);
+        assert_eq!((volumes, volumes.1 / volumes.0), ((3_600, 360_000), 100));
         // Cascades resolve into two-event causal units.
         let storm = &rows[6];
         assert_eq!((storm.events, storm.cards_lost), (2, 1));

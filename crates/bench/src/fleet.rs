@@ -37,7 +37,7 @@ use std::fmt::Write;
 #[derive(Clone, Debug)]
 pub struct FleetOptions {
     /// Seeds (campaigns) to run. The acceptance default is 10 000; the
-    /// CI smoke job runs a small count.
+    /// tests run a small count.
     pub seeds: usize,
     /// Base seed: campaign `i` draws from `seed0 + i`.
     pub seed0: u64,

@@ -1,5 +1,4 @@
-//! The static↔dynamic lint gate behind `phi lint` (and the CI step of
-//! the same name).
+//! The static↔dynamic lint gate behind `phi lint`.
 //!
 //! Three obligations, mirroring `phi-lint`'s own gate tests but packaged
 //! as a runnable report with a process exit code:
@@ -182,9 +181,9 @@ impl LintGate {
 }
 
 impl LintGate {
-    /// Renders the machine-readable report the CI job uploads as an
-    /// artifact: kernel verdicts (with stable `K###`-coded finding
-    /// counts) plus the fixture self-test.
+    /// Renders the machine-readable report (`--json`): kernel verdicts
+    /// (with stable `K###`-coded finding counts) plus the fixture
+    /// self-test.
     pub(crate) fn render_json(&self) -> String {
         use phi_lint::diag::json_escape;
         let kernels: Vec<String> = self

@@ -1,5 +1,5 @@
-//! The schedule-verification gate behind `phi schedule-lint` (and the
-//! CI job of the same name).
+//! The schedule-verification gate behind `phi schedule-lint`; its unit
+//! tests run it on the real tree.
 //!
 //! Four obligations, mirroring the kernel lint gate's shape but aimed
 //! at the cluster side of the paper:
@@ -22,7 +22,6 @@
 //!    its deliberately broken fixture.
 
 use crate::format::TextTable;
-use crate::perfgate::GATE_SEED;
 use phi_fabric::{BcastScheme, ProcessGrid, RemapStrategy, ScheduleBuilder, ScheduleShape};
 use phi_faults::{FaultKind, FaultPlan};
 use phi_hpl::hybrid::{recovery_regimes, FtPolicy};
@@ -103,7 +102,7 @@ fn reference_plans(size: usize) -> Vec<FaultPlan> {
     }
     vec![
         FaultPlan::none(),
-        FaultPlan::campaign(GATE_SEED, 600.0, 8),
+        FaultPlan::campaign(crate::FIXTURE_SEED, 600.0, 8),
         deep,
     ]
 }
@@ -273,17 +272,6 @@ pub(crate) fn run(root: &Path) -> std::io::Result<SchedLintGate> {
     })
 }
 
-/// Total send/recv operations the reference sweep proves — the
-/// `schedule_lint_throughput` perf-gate metric. A pure deterministic
-/// count: it moves only when the sweep covers more (or fewer) regimes
-/// and schedules, never with wall clock or machine.
-pub(crate) fn reference_sweep_ops() -> f64 {
-    reference_shapes()
-        .iter()
-        .map(|(_, shape)| verify_channels(shape).1)
-        .sum::<usize>() as f64
-}
-
 impl SchedLintGate {
     /// True when every regime verifies clean and every fixture fires.
     pub(crate) fn passed(&self) -> bool {
@@ -338,9 +326,8 @@ impl SchedLintGate {
         out
     }
 
-    /// Renders the machine-readable report the CI job uploads as an
-    /// artifact: one stable JSON object, findings in
-    /// [`SchedDiagnostic::render_json`] form.
+    /// Renders the machine-readable report (`--json`): one stable JSON
+    /// object, findings in [`SchedDiagnostic::render_json`] form.
     pub(crate) fn render_json(&self) -> String {
         let shapes: Vec<String> = self
             .shapes
@@ -385,8 +372,8 @@ impl SchedLintGate {
     }
 }
 
-/// The workspace root this crate was compiled in — where the CI job and
-/// the tests run the determinism scan.
+/// The workspace root this crate was compiled in — where `phi
+/// schedule-lint` and the tests run the determinism scan.
 pub(crate) fn workspace_root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
@@ -416,6 +403,15 @@ mod tests {
         assert_eq!(gate.fixtures.len(), SchedKind::all_names().len());
         let text = gate.render();
         assert!(text.contains("gate: PASS"), "{text}");
+    }
+
+    /// Total send/recv operations the reference sweep proves, counted
+    /// apart from the gate run.
+    fn reference_sweep_ops() -> f64 {
+        reference_shapes()
+            .iter()
+            .map(|(_, shape)| verify_channels(shape).1)
+            .sum::<usize>() as f64
     }
 
     #[test]

@@ -120,7 +120,7 @@ pub(crate) struct ServeLoadResult {
     pub stats: ServiceStats,
     /// Σ simulated completion time over the unique campaigns served,
     /// seconds — the deterministic denominator for simulated-terms
-    /// throughput (the perf gate's `serve_requests_per_s`).
+    /// throughput.
     pub sim_time_s: f64,
 }
 
@@ -239,9 +239,9 @@ pub(crate) fn serve_load(opts: &ServeLoadOptions) -> ServeLoadResult {
     }
 }
 
-/// Runs the load generation and renders the human-readable report the
-/// `phi serve` and the CI smoke job emit, ending with a PASS/FAIL
-/// verdict from `ServeLoadResult::check`.
+/// Runs the load generation and renders the human-readable report
+/// `phi serve` emits, ending with a PASS/FAIL verdict from
+/// `ServeLoadResult::check`.
 pub(crate) fn serve_load_render(opts: &ServeLoadOptions) -> String {
     let r = serve_load(opts);
     let s = &r.stats;
@@ -379,6 +379,22 @@ mod tests {
         assert_eq!(second.cold.digest, first.cold.digest);
         assert_eq!(second.sim_time_s.to_bits(), first.sim_time_s.to_bits());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fixture_load_hit_rate_is_exact() {
+        // 600 requests per phase over 24 unique specs: every request but
+        // the first touch of each key skips execution, 1 176 of 1 200.
+        let r = serve_load(&ServeLoadOptions {
+            requests: 600,
+            space: 24,
+            clients: 4,
+            seed0: crate::FIXTURE_SEED,
+            ..ServeLoadOptions::default()
+        });
+        r.check().expect("fixture load violates an invariant");
+        assert_eq!((r.stats.requests, r.stats.executed), (1_200, 24));
+        assert_eq!(r.stats.hit_rate(), 0.98);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-/// An I/O failure of the tune driver or the perf gate (cache
-/// directory, JSON output, baseline file), and what was being done.
+/// An I/O failure of the tune driver (cache directory, JSON output),
+/// and what was being done.
 #[derive(Debug)]
 pub(crate) struct IoError {
     context: String,
@@ -39,7 +39,7 @@ pub(crate) struct TuneRun {
 }
 
 /// Runs the tuner on both paper reference machines. `smoke` restricts
-/// the search to the coarse grid (the CI-friendly mode); the cache
+/// the search to the coarse grid (the quick mode); the cache
 /// directory makes a second invocation a pure cache hit.
 pub(crate) fn run_tuner(smoke: bool, cache_dir: &Path) -> Result<Vec<TuneRun>, IoError> {
     let cache = TuneCache::open(cache_dir).map_err(io_ctx(format!(

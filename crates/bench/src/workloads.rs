@@ -2,16 +2,14 @@
 //! the same pipeline DGEMM always had — listing → lint → emulator →
 //! roofline → fabric — one row per workload.
 //!
-//! Three consumers share this module:
+//! Two consumers share this module:
 //!
 //! * `phi workloads` (`--workload dgemm|spmv|stencil`) renders
 //!   `lab_rows` for one or all workloads;
-//! * `phi workload-diff` runs `workload_diff`, the
-//!   workload-conformance CI gate (differential equivalence on both new
-//!   kernels, zero lint diagnostics on the shipped listings, rank-level
-//!   halo-volume conservation) with an `--inject` must-fail self-test;
-//! * `perfgate` takes `spmv_gflops` and `stencil_halo_exchange_s`
-//!   as headline metrics against `BENCH_baseline.json`.
+//! * `phi workload-diff` runs `workload_diff`, the workload-conformance
+//!   gate (differential equivalence on both new kernels, zero lint
+//!   diagnostics on the shipped listings, rank-level halo-volume
+//!   conservation), whose must-fail self-test is a unit test below.
 //!
 //! Everything is deterministic model output: same tree, same bytes.
 
@@ -31,13 +29,10 @@ use phi_lint::LintConfig;
 const SPMV_REF_ROWS: usize = 1024;
 /// Stored nonzeros per row of the reference band.
 const SPMV_REF_BAND: usize = 24;
-/// Seed for the reference operators (the perfgate fixture seed).
-const LAB_SEED: u64 = crate::perfgate::GATE_SEED;
-
 /// The lab's reference sparse matrix: a seeded band, uniform enough
 /// that padding overhead is 1 (every cycle is stream traffic).
 fn reference_csr() -> Csr {
-    banded_csr(SPMV_REF_ROWS, SPMV_REF_BAND, LAB_SEED)
+    banded_csr(SPMV_REF_ROWS, SPMV_REF_BAND, crate::FIXTURE_SEED)
 }
 
 /// The lab's reference stencil: the radius-1 seven-point operator.
@@ -61,7 +56,8 @@ fn reference_grid(nx: usize, ny: usize, lz: usize) -> Vec<f64> {
         .collect()
 }
 
-fn reference_stencil_cluster() -> StencilClusterReport {
+/// The reference 8-sweep stencil cluster DES.
+pub(crate) fn reference_stencil_cluster() -> StencilClusterReport {
     simulate_stencil_cluster(&StencilClusterConfig {
         workload: StencilWorkload::new(reference_star(), reference_halo_spec()),
         sweeps: 8,
@@ -70,22 +66,14 @@ fn reference_stencil_cluster() -> StencilClusterReport {
     })
 }
 
-/// Perfgate metric: per-core GFLOPS the emulated core achieves on the
-/// reference SpMV at the KNC clock. Deterministic cycle arithmetic — it
-/// moves only when the SpMV listing, the blocking or the memory system
-/// model changes.
+/// Per-core GFLOPS the emulated core achieves on the reference SpMV at
+/// the KNC clock. Deterministic cycle arithmetic — it moves only when
+/// the SpMV listing, the blocking or the memory system model changes.
 pub(crate) fn spmv_gflops() -> f64 {
     let a = reference_csr();
     let x = reference_x(a.cols);
     let rep = run_spmv(&a, &x, PipelineConfig::default());
     rep.flops_per_cycle() * KncChip::default().freq_ghz
-}
-
-/// Perfgate metric: halo-exchange seconds exposed on the critical path
-/// of the reference 8-sweep stencil cluster DES. Moves only when the
-/// halo pattern, the fabric constants or the sweep loop change.
-pub(crate) fn stencil_halo_exchange_s() -> f64 {
-    reference_stencil_cluster().halo_s
 }
 
 /// One row of the lab table.
@@ -191,8 +179,8 @@ pub(crate) fn lab_render(rows: &[LabRow]) -> String {
 
 /// The workload-conformance gate: returns human-readable failure lines
 /// (empty = pass). `inject` perturbs one SpMV result bit and one halo
-/// message, both of which the comparisons must flag — CI runs the
-/// `phi workload-diff` in that mode and requires a non-zero exit.
+/// message, both of which the comparisons must flag — the gate's
+/// must-fail self-test, run by the unit test below.
 pub(crate) fn workload_diff(inject: bool) -> Vec<String> {
     let mut fails = Vec::new();
 
@@ -295,9 +283,16 @@ mod tests {
     #[test]
     fn gate_metrics_are_positive_and_deterministic() {
         let g = spmv_gflops();
-        assert!(g > 0.0 && g.to_bits() == spmv_gflops().to_bits());
-        let h = stencil_halo_exchange_s();
-        assert!(h > 0.0 && h.to_bits() == stencil_halo_exchange_s().to_bits());
+        assert_eq!(g.to_bits(), spmv_gflops().to_bits());
+        // Bandwidth-bound: a small fraction of the 17.6 GF per-core
+        // peak, but nonzero — the steady state stays on the L1-hit path.
+        assert!(
+            g > 0.0 && g < 8.0,
+            "spmv operating point drifted off the bandwidth roof: {g}"
+        );
+        let h = reference_stencil_cluster().halo_s;
+        assert!(h > 0.0, "stencil cluster exposed no halo stage");
+        assert_eq!(h.to_bits(), reference_stencil_cluster().halo_s.to_bits());
     }
 
     #[test]

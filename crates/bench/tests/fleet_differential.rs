@@ -13,6 +13,7 @@
 //!    constant below was captured from the pre-fan-out implementation.
 
 use phi_bench::fleet::{fleet_render, run_fleet, FleetOptions};
+use phi_bench::FIXTURE_SEED;
 use phi_faults::{CampaignScope, Escalation, FaultKind, FaultPlan};
 
 fn opts(threads: usize) -> FleetOptions {
@@ -76,7 +77,7 @@ fn single_child_chain_resolution_matches_pre_fanout_capture() {
                     Escalation::new(FaultKind::HostDeath { rank: 23 }, 15.0, 1.0),
                 ),
             )
-            .resolved(0xFA_0175, 1.0e4);
+            .resolved(FIXTURE_SEED, 1.0e4);
     // Storm at 100 s, card death at exactly +15 s, host death +15 s
     // after that: delays with probability 1.0 and no jitter take no
     // random draw, so the onsets are exact sums.

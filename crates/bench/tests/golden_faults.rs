@@ -11,11 +11,8 @@
 //!
 //! and review the diff like any other code change.
 
+use phi_bench::FIXTURE_SEED;
 use std::path::PathBuf;
-
-/// The seed every fixture is rendered with — the same one the
-/// `experiments_md` bin uses, so the docs and the goldens agree.
-const SEED: u64 = 0xFA_0175;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -62,7 +59,7 @@ fn check_golden(name: &str, actual: &str) {
 fn single_node_campaign_table_matches_golden() {
     check_golden(
         "fault_campaign_single.txt",
-        &phi_bench::fault_campaign_render(SEED),
+        &phi_bench::fault_campaign_render(FIXTURE_SEED),
     );
 }
 
@@ -70,7 +67,10 @@ fn single_node_campaign_table_matches_golden() {
 fn cluster_campaign_table_matches_golden() {
     check_golden(
         "fault_campaign_cluster.txt",
-        &phi_bench::fault_campaign_cluster_render(SEED, phi_fabric::RemapStrategy::default()),
+        &phi_bench::fault_campaign_cluster_render(
+            FIXTURE_SEED,
+            phi_fabric::RemapStrategy::default(),
+        ),
     );
 }
 
@@ -78,6 +78,6 @@ fn cluster_campaign_table_matches_golden() {
 fn experiments_md_fault_section_matches_golden() {
     check_golden(
         "experiments_fault_section.md",
-        &phi_bench::experiments_fault_section_md(SEED),
+        &phi_bench::experiments_fault_section_md(FIXTURE_SEED),
     );
 }

@@ -278,4 +278,33 @@ mod tests {
         assert_eq!(t, p.panel + p.pbcast + p.three() + p.update);
         assert_eq!((three, panel), (p.three(), p.panel + p.pbcast));
     }
+
+    /// The per-stage cost model exists once: a driver under `hybrid/`
+    /// that prices a swap, a DTRSM or a U broadcast itself is a fork of
+    /// this file.
+    #[test]
+    fn no_stage_arithmetic_outside_this_file() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/hybrid");
+        let mut forks = Vec::new();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "rs") || path.ends_with("stage.rs") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            for (i, line) in text.lines().enumerate() {
+                if ["swap_time_s(", "trsm_time_s(", ".u_bcast("]
+                    .iter()
+                    .any(|call| line.contains(call))
+                {
+                    forks.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+                }
+            }
+        }
+        assert!(
+            forks.is_empty(),
+            "stage arithmetic outside hybrid/stage.rs:\n{}",
+            forks.join("\n")
+        );
+    }
 }

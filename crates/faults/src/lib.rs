@@ -1754,6 +1754,22 @@ mod tests {
                 }
             }
         }
+        // 64 one-hour rack campaigns of 3 root events each: resolution
+        // must spawn more than the 3 roots per plan-hour, or the fan-out
+        // stopped fanning.
+        let (plans, roots) = (64u64, 3);
+        let events: usize = (0..plans)
+            .map(|i| {
+                FaultPlan::fleet_campaign(0xFA_0175 + i, 3600.0, roots, 100, 2, CampaignScope::Rack)
+                    .events()
+                    .len()
+            })
+            .sum();
+        let per_plan_hour = events as f64 / plans as f64;
+        assert!(
+            per_plan_hour > roots as f64,
+            "fan-out collapsed: {per_plan_hour} events per plan-hour"
+        );
         // Rack campaigns actually produce correlated multi-rank deaths
         // somewhere across a handful of seeds.
         let batch: usize = (0..8)

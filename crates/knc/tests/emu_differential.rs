@@ -60,14 +60,14 @@ fn pipeline_variants() -> [PipelineConfig; 3] {
     ]
 }
 
-/// Kernel 1 and Kernel 2, three blocking depths, three pipeline
+/// Kernel 1 and Kernel 2, five blocking depths, three pipeline
 /// variants: the traced run reproduces the interpreter bit-for-bit —
 /// cycles, all counters, steady-state measurement, and the C tiles.
 #[test]
 fn kernel_sweep_fast_equals_slow() {
     let mut replayed_total = 0u64;
     for kind in [MicroKernelKind::Kernel1, MicroKernelKind::Kernel2] {
-        for depth in [48usize, 112, 256] {
+        for depth in [48usize, 64, 112, 192, 256] {
             for (ci, cfg) in pipeline_variants().into_iter().enumerate() {
                 let (a, bs) = tile_inputs(kind, depth);
                 let slow = run_tile_product(kind, depth, &a, &bs, cfg);
@@ -291,8 +291,7 @@ fn steady_state_replay_speedup_exceeds_five_x() {
 
 /// Long-horizon soak: a single traced core interleaving kernel-shaped
 /// chunks with every perturbation class, digest-checked against the
-/// interpreter at each step. This is the schedule sweep the CI
-/// `emu-equivalence` job leans on.
+/// interpreter at each step.
 #[test]
 fn interleaved_perturbation_soak() {
     let epi = Program::new();

@@ -1,7 +1,7 @@
 //! Determinism lint over the simulator and fault-injection sources.
 //!
 //! Every run in this workspace must replay bit-for-bit from its seed —
-//! the perf gate, the Monte Carlo campaigns, and the fault cascades all
+//! the goldens, the Monte Carlo campaigns, and the fault cascades all
 //! depend on it. This pass scans source text for the three constructs
 //! that silently break that contract:
 //!
@@ -18,7 +18,10 @@
 //! Findings are suppressed with a `lint:allow(<kind>)` marker on the
 //! same or the preceding line — the reviewed escape hatch for benign
 //! uses (membership-only sets, wall clock in progress reporting).
-//! Scanning stops at `#[cfg(test)]`: tests may use whatever they like.
+//! Test code — everything from a file's first `#[cfg(test)]` line, and
+//! every file under a `tests/` directory — is held to the seed-bypass
+//! rule alone: a test that reads the clock passes or fails with the
+//! host's speed, but it may iterate and fold however it likes.
 
 use crate::diag::{SchedDiagnostic, SchedKind};
 
@@ -61,15 +64,14 @@ fn is_comment(line: &str) -> bool {
 }
 
 /// Scans one source file's text. `name` labels the findings' sites
-/// (`name:line`). Scanning stops at the first `#[cfg(test)]` line —
-/// in this workspace tests sit at the bottom of each file.
-fn scan_source(name: &str, text: &str) -> Vec<SchedDiagnostic> {
+/// (`name:line`). `in_test` marks a whole file as test code; otherwise
+/// test code starts at the first `#[cfg(test)]` line — in this
+/// workspace tests sit at the bottom of each file.
+fn scan_source(name: &str, text: &str, mut in_test: bool) -> Vec<SchedDiagnostic> {
     let mut diags = Vec::new();
     let mut prev: Option<&str> = None;
     for (idx, line) in text.lines().enumerate() {
-        if line.trim() == "#[cfg(test)]" {
-            break;
-        }
+        in_test |= line.trim() == "#[cfg(test)]";
         if is_comment(line) {
             prev = Some(line);
             continue;
@@ -90,6 +92,10 @@ fn scan_source(name: &str, text: &str) -> Vec<SchedDiagnostic> {
                     excerpt.clone(),
                 ));
             }
+        }
+        if in_test {
+            prev = Some(line);
+            continue;
         }
         if let Some(tok) = UNSTABLE_ORDER.iter().find(|t| line.contains(**t)) {
             if !allowed("unstable-iteration-order", line, prev) {
@@ -127,20 +133,22 @@ fn scan_source(name: &str, text: &str) -> Vec<SchedDiagnostic> {
 }
 
 /// The simulator/fault crates this pass guards, relative to the
-/// workspace root. `phi-lint` and `phi-bench` themselves are exempt
-/// (they are the measuring devices, not the experiment).
+/// workspace root: their `src/` and `tests/` trees. `phi-lint` and
+/// `phi-bench` themselves are exempt (they are the measuring devices,
+/// not the experiment).
 pub const SCAN_ROOTS: &[&str] = &[
-    "crates/faults/src",
-    "crates/core/src",
-    "crates/sched/src",
-    "crates/des/src",
-    "crates/fabric/src",
-    "crates/tune/src",
-    "crates/serve/src",
+    "crates/faults",
+    "crates/core",
+    "crates/sched",
+    "crates/des",
+    "crates/fabric",
+    "crates/tune",
+    "crates/serve",
 ];
 
 /// Recursively scans every `.rs` file under `root` (a directory), in
-/// sorted path order for stable output. Returns `(files_scanned,
+/// sorted path order for stable output; files under a `tests`
+/// directory below `root` are test code. Returns `(files_scanned,
 /// findings)`.
 pub fn scan_dir(root: &std::path::Path) -> std::io::Result<(usize, Vec<SchedDiagnostic>)> {
     let mut files = Vec::new();
@@ -150,7 +158,9 @@ pub fn scan_dir(root: &std::path::Path) -> std::io::Result<(usize, Vec<SchedDiag
     for path in &files {
         let text = std::fs::read_to_string(path)?;
         let name = path.to_string_lossy().into_owned();
-        diags.extend(scan_source(&name, &text));
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        let in_test = rel.components().any(|c| c.as_os_str() == "tests");
+        diags.extend(scan_source(&name, &text, in_test));
     }
     Ok((files.len(), diags))
 }
@@ -191,17 +201,17 @@ pub fn broken_fixtures() -> Vec<BrokenSource> {
         BrokenSource {
             name: "wall clock feeding a result",
             expect: "seed-bypass",
-            diags: scan_source("fixture/jitter.rs", bypass),
+            diags: scan_source("fixture/jitter.rs", bypass, false),
         },
         BrokenSource {
             name: "iteration over a hash map",
             expect: "unstable-iteration-order",
-            diags: scan_source("fixture/tally.rs", order),
+            diags: scan_source("fixture/tally.rs", order, false),
         },
         BrokenSource {
             name: "float sum over unordered values",
             expect: "unordered-reduction",
-            diags: scan_source("fixture/total.rs", reduce),
+            diags: scan_source("fixture/total.rs", reduce, false),
         },
     ]
 }
@@ -210,9 +220,24 @@ pub fn broken_fixtures() -> Vec<BrokenSource> {
 mod tests {
     use super::*;
 
+    /// A clock-bound assertion inside a test module: the seed-bypass
+    /// rule reaches test code. Kept beside the tests rather than in
+    /// [`broken_fixtures`], whose one-per-kind list is the
+    /// `schedule-lint` self-test table.
+    fn test_timing_fixture() -> BrokenSource {
+        let timed = "fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn fast() {\n        \
+                     let t = std::time::Instant::now();\n        f();\n        \
+                     assert!(t.elapsed().as_millis() < 50);\n    }\n}\n";
+        BrokenSource {
+            name: "wall clock in a test",
+            expect: "seed-bypass",
+            diags: scan_source("fixture/timed.rs", timed, false),
+        }
+    }
+
     #[test]
     fn every_broken_fixture_trips_its_expected_kind() {
-        for f in broken_fixtures() {
+        for f in broken_fixtures().into_iter().chain([test_timing_fixture()]) {
             assert!(
                 f.diags.iter().any(|d| d.kind.name() == f.expect),
                 "{}: expected {}, got {:?}",
@@ -226,20 +251,44 @@ mod tests {
     #[test]
     fn allow_markers_suppress_on_same_or_previous_line() {
         let same = "let t = Instant::now(); // lint:allow(seed-bypass): progress only\n";
-        assert!(scan_source("t.rs", same).is_empty());
+        assert!(scan_source("t.rs", same, false).is_empty());
         let prev = "// lint:allow(seed-bypass): progress only\nlet t = Instant::now();\n";
-        assert!(scan_source("t.rs", prev).is_empty());
+        assert!(scan_source("t.rs", prev, false).is_empty());
         let wrong = "// lint:allow(unstable-iteration-order)\nlet t = Instant::now();\n";
-        assert_eq!(scan_source("t.rs", wrong).len(), 1);
+        assert_eq!(scan_source("t.rs", wrong, false).len(), 1);
     }
 
     #[test]
     fn comments_and_test_modules_are_skipped() {
         let comment = "// Instant::now() would be wrong here\nlet x = 1;\n";
-        assert!(scan_source("t.rs", comment).is_empty());
+        assert!(scan_source("t.rs", comment, false).is_empty());
         let test_mod =
             "let x = 1;\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
-        assert!(scan_source("t.rs", test_mod).is_empty());
+        assert!(scan_source("t.rs", test_mod, false).is_empty());
+        // Test code is skipped for every kind but seed-bypass.
+        let test_file = "use std::collections::HashMap;\nlet t = SystemTime::now();\n";
+        let diags = scan_source("tests/t.rs", test_file, true);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].kind, SchedKind::SeedBypass);
+        assert_eq!(diags[0].site, "tests/t.rs:2");
+    }
+
+    #[test]
+    fn scan_dir_flags_a_seed_bypassing_source_file() {
+        let root = std::env::temp_dir().join(format!("phi-lint-hazard-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("src")).unwrap();
+        std::fs::write(
+            root.join("src/ci_injected_hazard.rs"),
+            "pub fn jitter() -> u128 {\n    std::time::Instant::now().elapsed().as_nanos()\n}\n",
+        )
+        .unwrap();
+        let scanned = scan_dir(&root);
+        let _ = std::fs::remove_dir_all(&root);
+        let (files, diags) = scanned.unwrap();
+        assert_eq!(files, 1);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].render().contains("error[S401:seed-bypass]"));
     }
 
     #[test]
@@ -247,6 +296,7 @@ mod tests {
         let d = &scan_source(
             "crates/x/src/y.rs",
             "let h: HashSet<u32> = HashSet::new();\n",
+            false,
         )[0];
         assert_eq!(d.site, "crates/x/src/y.rs:1");
         assert!(d.render().contains("error[S402:unstable-iteration-order]"));
@@ -254,9 +304,9 @@ mod tests {
 
     #[test]
     fn reduction_needs_both_source_and_fold() {
-        assert!(scan_source("t.rs", "let s: f64 = v.iter().sum();\n").is_empty());
+        assert!(scan_source("t.rs", "let s: f64 = v.iter().sum();\n", false).is_empty());
         assert_eq!(
-            scan_source("t.rs", "let s: f64 = m.values().sum();\n").len(),
+            scan_source("t.rs", "let s: f64 = m.values().sum();\n", false).len(),
             1
         );
     }

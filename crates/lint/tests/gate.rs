@@ -4,7 +4,7 @@
 //! reproducing their 31/32 vs 30/32 theoretical efficiencies exactly,
 //! (b) predict steady-state cycles within 5% of the cycle-accurate
 //! emulator, and (c) have every diagnostic kind demonstrated by a broken
-//! fixture. CI runs this via `cargo test` and the `lint` binary.
+//! fixture. Tier-1 runs this via `cargo test`; `phi lint` renders it.
 
 use phi_blas::gemm::MicroKernelKind;
 use phi_knc::kernels::{build_basic_kernel, kernel_mr, run_tile_product, NR};
