@@ -286,12 +286,6 @@ fn native(a: &Args) -> Result<Report, CliError> {
     ))
 }
 
-/// The host-memory gate the hybrid simulators assert, checked first so
-/// that no flag reaches the assertion.
-fn fits_host(cfg: &HybridConfig) -> bool {
-    cfg.bytes_per_node() <= cfg.host_mem_gib * 1.073741824e9 * 0.95
-}
-
 fn hybrid(a: &Args) -> Result<Report, CliError> {
     let (n, (p, q)) = (a.int("n")?, a.grid("grid")?);
     let (cards, mem) = (a.int("cards")?, a.real("mem")?);
@@ -303,11 +297,9 @@ fn hybrid(a: &Args) -> Result<Report, CliError> {
     let mut cfg = HybridConfig::new(n, ProcessGrid::new(p, q), cards);
     cfg.lookahead = la;
     cfg.host_mem_gib = mem;
-    if !fits_host(&cfg) {
-        return Err(failed(format!(
-            "N = {n} does not fit in {mem} GiB/node on a {p}x{q} grid"
-        )));
-    }
+    // The gate `simulate_cluster` asserts, checked first so that no
+    // flag reaches the assertion.
+    cfg.fits_host_memory().map_err(failed)?;
     let r = simulate_cluster(&cfg, false);
     report(format!(
         "hybrid {la:?}: N={n} on {p}x{q} nodes, {cards} card(s), {mem:.0} GB -> \
@@ -340,12 +332,7 @@ fn cluster(a: &Args) -> Result<Report, CliError> {
     let cfg = NativeClusterConfig::new(n, p, q);
     // The GDDR gate `simulate_native_cluster` asserts, checked first so
     // that no flag reaches the assertion.
-    let gib = cfg.tasks.gemm.chip.memory_gib;
-    if (n as f64 / p as f64) * (n as f64 / q as f64) * 8.0 > gib * 1.073741824e9 * 0.9 {
-        return Err(failed(format!(
-            "N = {n} does not fit {gib} GiB of GDDR per card on a {p}x{q} grid"
-        )));
-    }
+    cfg.fits_gddr().map_err(failed)?;
     let r = simulate_native_cluster(&cfg);
     report(format!(
         "native cluster: N={n} on {p}x{q} cards (hosts asleep) -> {:.1} GFLOPS ({:.1}%)\n",
@@ -378,7 +365,7 @@ fn dat(a: &Args) -> Result<Report, CliError> {
     let dat = HplDat::parse(&text).map_err(failed)?;
     let mut out = String::from("T/V                N    NB     P     Q          TFLOPS      eff\n");
     for cfg in dat.expand(cards, mem) {
-        if !fits_host(&cfg) {
+        if cfg.fits_host_memory().is_err() {
             out.push_str(&format!(
                 "-- skipped N={} on {}x{}: exceeds {:.0} GiB/node\n",
                 cfg.n, cfg.grid.p, cfg.grid.q, cfg.host_mem_gib

@@ -65,7 +65,7 @@ use super::{simulate_cluster, stage, ClusterResult, HybridConfig, IterationProfi
 use crate::offload::OffloadModel;
 use crate::report::{FaultSummary, GigaflopsReport};
 use phi_des::{Kind, Trace};
-use phi_fabric::{NetModel, ProcessGrid, RemapStrategy, ScheduleShape};
+use phi_fabric::{NetModel, PatchRemap, ProcessGrid, RemapStrategy, ScheduleShape};
 use phi_faults::{Effects, FaultPlan, Fnv};
 
 /// Bandwidth at which checkpoints are written, bytes/s (host memory
@@ -93,7 +93,7 @@ pub struct FtPolicy {
     pub remap: RemapStrategy,
     /// Cumulative host deaths the patch remap absorbs before the
     /// survivors reshape wholesale. `None` (the default) keeps the
-    /// historical `grid.size() / 8` allowance — the same 1/8 idle
+    /// historical allowance of an eighth of the grid — the same 1/8 idle
     /// fraction the fallback grid tolerates; fleet campaigns sweep
     /// explicit budgets to find the threshold maximizing expected
     /// throughput.
@@ -191,26 +191,20 @@ pub fn simulate_cluster_faulty(
     let mut trace = Trace::default();
     trace.enable();
 
-    // The live grid: host deaths may reshape it mid-run, so every stage
-    // prices against the grid the survivors actually form.
-    let mut grid = cfg.grid;
-
     let mut total = 0.0f64;
     let mut card_busy_total = 0.0f64;
     let mut profiles = Vec::new();
 
     let mut deaths_applied = 0usize;
-    let mut hosts_applied = 0usize;
     let mut degraded_stages = 0usize;
     let mut checkpoint_s = 0.0f64;
     let mut recovery_s = 0.0f64;
     let mut prev_update = 0.0f64;
     let mut weighted_cards = 0.0f64;
     let mut blocks_moved = 0usize;
-    // Ranks patched out so far (grid shape kept), and whether deaths
-    // ever forced a wholesale reshape onto a fallback grid.
-    let mut patched_dead: Vec<usize> = Vec::new();
-    let mut reshaped = false;
+    // Host deaths applied so far and the shape the survivors form: the
+    // original grid with patched-out ranks, or a fallback grid.
+    let mut hosts = DeathStep::hybrid(cfg.grid, plan, policy);
 
     for stage in 0..s {
         let nb = cfg.nb.min(cfg.n - stage * cfg.nb);
@@ -222,7 +216,7 @@ pub fn simulate_cluster_faulty(
             let newly_dead = deaths_now - deaths_applied;
             let restore = if policy.checkpoint_panels {
                 // Reload factorization state from the panel checkpoints.
-                8.0 * ((cfg.n / grid.p).max(nb) * nb) as f64 / CHECKPOINT_BW
+                8.0 * ((cfg.n / hosts.shape().grid.p).max(nb) * nb) as f64 / CHECKPOINT_BW
             } else {
                 // No checkpoint: the in-flight stage's update replays.
                 prev_update
@@ -237,76 +231,42 @@ pub fn simulate_cluster_faulty(
 
         // Host-rank deaths, also at panel boundaries: restore the dead
         // ranks' factored state over the fabric (or recompute it without
-        // checkpoints), then re-own their trailing blocks — patched in
-        // place or redistributed wholesale to a fallback grid, per
-        // `policy.remap`.
-        let hosts_now = plan
-            .effects_at(total)
-            .hosts_lost
-            .min(cfg.grid.size().saturating_sub(1));
-        if hosts_now > hosts_applied {
-            let newly = hosts_now - hosts_applied;
-            let survivors = cfg.grid.size() - hosts_now;
+        // checkpoints), then ship the trailing blocks the step moves —
+        // the dead ranks' patch, or the whole matrix onto a fallback grid.
+        if let Some(t) = hosts.apply(plan.effects_at(total).hosts_lost) {
             let factored_cols = (stage * cfg.nb).min(cfg.n);
             let restore = if policy.checkpoint_panels {
                 // The dead ranks' block-cyclic share of the factored
                 // state streams from checkpoint replicas over the fabric.
-                8.0 * factored_cols as f64 * cfg.n as f64 * newly as f64
+                8.0 * factored_cols as f64 * cfg.n as f64 * t.newly as f64
                     / cfg.grid.size() as f64
                     / cfg.net.bandwidth
             } else {
                 // No checkpoint: the dead ranks' share of everything done
                 // so far is recomputed by the survivors.
-                total * newly as f64 / cfg.grid.size() as f64
+                total * t.newly as f64 / cfg.grid.size() as f64
             };
-            // The patch stays viable while the cumulative death count
-            // fits the budget — by default the same 1/8 idle allowance
-            // the fallback grid tolerates; past that (or when reshaped
-            // already) survivors reshape wholesale.
-            let budget = policy.death_budget.unwrap_or(cfg.grid.size() / 8);
-            let patchable =
-                policy.remap == RemapStrategy::Patch && !reshaped && hosts_now <= budget;
-            let redistribution = if patchable {
-                // Locality-preserving patch: only the newly dead ranks'
-                // block-cyclic trailing share moves; everyone else's
-                // blocks stay put.
-                let dead_ranks = plan.host_death_ranks(cfg.grid.size());
-                let mut moved_elems = 0.0f64;
-                for &rank in &dead_ranks[hosts_applied..hosts_now] {
-                    if patched_dead.contains(&rank) {
-                        continue;
-                    }
-                    let remap = cfg.grid.patch_remap(rank);
-                    blocks_moved += remap.moved_trailing_blocks(stage, s);
-                    moved_elems += remap.moved_trailing_elements(stage, s, cfg.nb, cfg.n);
-                    patched_dead.push(rank);
-                }
-                8.0 * moved_elems / (survivors as f64 * REDISTRIBUTION_BW)
-            } else {
-                // Wholesale reshape: the whole trailing matrix moves to
-                // the fallback grid's block-cyclic ownership.
-                reshaped = true;
-                blocks_moved += phi_fabric::PatchRemap::wholesale_trailing_blocks(stage, s);
-                grid = ProcessGrid::fallback_grid(survivors);
-                let trailing = (cfg.n - factored_cols) as f64;
-                8.0 * trailing * trailing / (survivors as f64 * REDISTRIBUTION_BW)
-            };
-            let cost = newly as f64 * REBALANCE_S + restore + redistribution;
+            let (blocks, elements) = t.moved(stage, s, cfg.nb, cfg.n);
+            blocks_moved += blocks;
+            let redistribution = 8.0 * elements / (t.survivors as f64 * REDISTRIBUTION_BW);
+            let cost = t.newly as f64 * REBALANCE_S + restore + redistribution;
             trace.record(2, total, total + cost, Kind::Recovery);
             total += cost;
             recovery_s += cost;
-            hosts_applied = hosts_now;
         }
-        if cards_avail < cfg.cards_per_node || hosts_applied > 0 {
+        if cards_avail < cfg.cards_per_node || hosts.applied() > 0 {
             degraded_stages += 1;
         }
-        // Patched (not reshaped) grids run load-imbalanced: survivors
-        // carry the dead coordinates' trailing work. Exactly 1.0 with
-        // no patched deaths.
-        let imbalance = if reshaped {
+        // The live grid: every stage prices against the grid the
+        // survivors actually form. Patched (not reshaped) grids run
+        // load-imbalanced: survivors carry the dead coordinates'
+        // trailing work. Exactly 1.0 with no patched deaths.
+        let shape = hosts.shape();
+        let grid = shape.grid;
+        let imbalance = if shape.reshaped {
             1.0
         } else {
-            cfg.grid.patch_imbalance(patched_dead.len())
+            cfg.grid.patch_imbalance(shape.dead_ranks.len())
         };
 
         // Two-pass effects sampling: estimate the stage on the healthy
@@ -375,7 +335,8 @@ pub fn simulate_cluster_faulty(
         }
     }
 
-    total += super::backsub_time_s(cfg, grid);
+    let shape = hosts.shape();
+    total += super::backsub_time_s(cfg, shape.grid);
 
     // Fault windows on the fault lane, clipped to the run.
     for ev in plan.events() {
@@ -395,8 +356,8 @@ pub fn simulate_cluster_faulty(
         plan_fingerprint: plan.fingerprint(),
         events: plan.events().len(),
         cards_lost: deaths_applied,
-        hosts_lost: hosts_applied,
-        fallback_grid: reshaped.then_some((grid.p, grid.q)),
+        hosts_lost: hosts.applied(),
+        fallback_grid: shape.reshaped.then_some((shape.grid.p, shape.grid.q)),
         remap: policy.remap,
         blocks_moved,
         checkpoint_s,
@@ -423,59 +384,180 @@ pub fn simulate_cluster_faulty(
 
 /// Every communication-grid regime `simulate_cluster_faulty` can route
 /// through under `plan` and `policy`, in the order entered: the healthy
-/// grid, then one [`ScheduleShape`] per applied host death — patched
-/// shapes accumulate dead ranks on the original grid; once the death
-/// budget is blown (or under [`RemapStrategy::Wholesale`]) the shapes
-/// switch to fallback grids that shrink with the survivor count.
+/// grid, then one [`ScheduleShape`] per applied host death that changes
+/// it — patched shapes accumulate dead ranks on the original grid; once
+/// the death budget is blown (or under [`RemapStrategy::Wholesale`]) the
+/// shapes switch to fallback grids that shrink with the survivor count.
 ///
-/// Deaths are replayed one per boundary — the finest batching the
-/// simulator can experience — so verifying every shape returned here
-/// proves any coarser batching safe. This is the contract the
-/// `schedule-lint` gate checks: each shape's broadcast/swap plans must
-/// verify deadlock-free before the simulator's analytic times mean
-/// anything.
+/// The shapes come from the fault loop's own death step, fed the plan's
+/// deaths one per boundary — the finest batching the simulator can
+/// experience — so verifying every shape returned here proves any
+/// coarser batching safe. This is the contract the `schedule-lint` gate
+/// checks: each shape's broadcast/swap plans must verify deadlock-free
+/// before the simulator's analytic times mean anything.
 pub fn recovery_regimes(
     cfg: &HybridConfig,
     plan: &FaultPlan,
     policy: &FtPolicy,
 ) -> Vec<ScheduleShape> {
-    let size = cfg.grid.size();
-    let budget = policy.death_budget.unwrap_or(size / 8);
-    let mut shapes = vec![ScheduleShape::healthy(cfg.grid)];
-    let mut patched_dead: Vec<usize> = Vec::new();
-    let mut reshaped = false;
-    let mut applied = 0usize;
-    for rank in plan.host_death_ranks(size) {
-        // The simulator never applies more deaths than leave a survivor.
-        if applied + 1 > size.saturating_sub(1) {
-            break;
+    DeathStep::hybrid(cfg.grid, plan, policy).regimes()
+}
+
+/// The host-death recovery policy, written once: how many death events
+/// have applied and the [`ScheduleShape`] the survivors form. Both fault
+/// loops apply the plan's deaths through it at panel boundaries and
+/// price the [`Transition`] it returns; both regime lists feed it the
+/// same deaths one per boundary and collect the shapes — so the shapes
+/// `schedule-lint` proves are the shapes the simulators price.
+///
+/// Death *events*, not distinct ranks, count toward the survivors and
+/// the budget, and at most `size − 1` apply: a survivor remains.
+#[derive(Debug)]
+pub(crate) struct DeathStep {
+    /// Ranks of the original grid.
+    size: usize,
+    /// The plan's dying ranks, onset-ordered and folded into the grid.
+    ranks: Vec<usize>,
+    /// How the trailing matrix reaches its new owners.
+    remap: RemapStrategy,
+    /// Cumulative deaths a patch absorbs before the survivors reshape
+    /// onto a fallback grid; `None` never reshapes.
+    budget: Option<usize>,
+    /// Death events applied so far.
+    applied: usize,
+    /// The live shape: the original grid with the patched-out ranks, or
+    /// a fallback grid once reshaped.
+    shape: ScheduleShape,
+}
+
+/// What one death boundary did, for the fault loop to price.
+#[derive(Debug)]
+pub(crate) struct Transition<'a> {
+    /// Death events applied at this boundary.
+    pub(crate) newly: usize,
+    /// Ranks left after every death event so far.
+    pub(crate) survivors: usize,
+    /// The grid the patched ranks are dealt on.
+    grid: ProcessGrid,
+    /// The distinct ranks newly patched out; `None` when the whole
+    /// trailing matrix moves instead.
+    patched: Option<&'a [usize]>,
+}
+
+impl DeathStep {
+    /// The hybrid policy: host deaths only. Survivors patch while
+    /// `policy.remap` is [`RemapStrategy::Patch`] and the cumulative
+    /// deaths fit the budget — by default an eighth of the grid, the
+    /// idle allowance the fallback grid tolerates — and reshape onto a
+    /// fallback grid from the first boundary past it.
+    pub(crate) fn hybrid(grid: ProcessGrid, plan: &FaultPlan, policy: &FtPolicy) -> Self {
+        let budget = policy.death_budget.unwrap_or(grid.size() / 8);
+        let ranks = plan.host_death_ranks(grid.size());
+        Self::new(grid, ranks, policy.remap, Some(budget))
+    }
+
+    /// The native policy: a node *is* a card, so every death costs a
+    /// rank, and the grid never reshapes — `remap` only decides whether
+    /// the dead ranks' patch or the whole trailing matrix travels.
+    pub(crate) fn native(grid: ProcessGrid, plan: &FaultPlan, remap: RemapStrategy) -> Self {
+        Self::new(grid, plan.node_death_ranks(grid.size()), remap, None)
+    }
+
+    fn new(
+        grid: ProcessGrid,
+        ranks: Vec<usize>,
+        remap: RemapStrategy,
+        budget: Option<usize>,
+    ) -> Self {
+        Self {
+            size: grid.size(),
+            ranks,
+            remap,
+            budget,
+            applied: 0,
+            shape: ScheduleShape::healthy(grid),
         }
-        let hosts_now = applied + 1;
-        let survivors = size - hosts_now;
-        let patchable = policy.remap == RemapStrategy::Patch && !reshaped && hosts_now <= budget;
-        let shape = if patchable {
-            if !patched_dead.contains(&rank) {
-                patched_dead.push(rank);
-            }
-            ScheduleShape {
-                grid: cfg.grid,
-                dead_ranks: patched_dead.clone(),
-                reshaped: false,
+    }
+
+    /// Death events applied so far.
+    pub(crate) fn applied(&self) -> usize {
+        self.applied
+    }
+
+    /// The shape the survivors form now.
+    pub(crate) fn shape(&self) -> &ScheduleShape {
+        &self.shape
+    }
+
+    /// Applies the plan's first `deaths` death events, capped so a
+    /// survivor remains. Returns the transition when any of them is new.
+    pub(crate) fn apply(&mut self, deaths: usize) -> Option<Transition<'_>> {
+        let deaths = deaths.min(self.size.saturating_sub(1));
+        if deaths <= self.applied {
+            return None;
+        }
+        let survivors = self.size - deaths;
+        let patch = self.remap == RemapStrategy::Patch
+            && !self.shape.reshaped
+            && self.budget.is_none_or(|b| deaths <= b);
+        let first = self.shape.dead_ranks.len();
+        if patch || self.budget.is_none() {
+            for &rank in &self.ranks[self.applied..deaths] {
+                if !self.shape.dead_ranks.contains(&rank) {
+                    self.shape.dead_ranks.push(rank);
+                }
             }
         } else {
-            reshaped = true;
-            ScheduleShape {
+            self.shape = ScheduleShape {
                 grid: ProcessGrid::fallback_grid(survivors),
                 dead_ranks: Vec::new(),
                 reshaped: true,
-            }
-        };
-        if shapes.last() != Some(&shape) {
-            shapes.push(shape);
+            };
         }
-        applied = hosts_now;
+        let newly = deaths - self.applied;
+        self.applied = deaths;
+        Some(Transition {
+            newly,
+            survivors,
+            grid: self.shape.grid,
+            patched: patch.then(|| &self.shape.dead_ranks[first..]),
+        })
     }
-    shapes
+
+    /// Every shape the survivors pass through when the plan's deaths land
+    /// one per boundary, in the order entered, starting healthy.
+    pub(crate) fn regimes(mut self) -> Vec<ScheduleShape> {
+        let mut shapes = vec![self.shape.clone()];
+        for deaths in 1..=self.ranks.len() {
+            if self.apply(deaths).is_some() && shapes.last() != Some(&self.shape) {
+                shapes.push(self.shape.clone());
+            }
+        }
+        shapes
+    }
+}
+
+impl Transition<'_> {
+    /// Trailing-matrix blocks and elements that reach new owners at
+    /// `stage` of `stages` (order `n`, blocks of `nb`): the newly dead
+    /// ranks' block-cyclic share when patched, the whole trailing
+    /// matrix otherwise.
+    pub(crate) fn moved(&self, stage: usize, stages: usize, nb: usize, n: usize) -> (usize, f64) {
+        let Some(ranks) = self.patched else {
+            let trailing = (n - (stage * nb).min(n)) as f64;
+            return (
+                PatchRemap::wholesale_trailing_blocks(stage, stages),
+                trailing * trailing,
+            );
+        };
+        let (mut blocks, mut elements) = (0, 0.0f64);
+        for &rank in ranks {
+            let r = self.grid.patch_remap(rank);
+            blocks += r.moved_trailing_blocks(stage, stages);
+            elements += r.moved_trailing_elements(stage, stages, nb, n);
+        }
+        (blocks, elements)
+    }
 }
 
 #[cfg(test)]
@@ -831,6 +913,71 @@ mod tests {
             true,
         );
         assert_ne!(a.run_fingerprint(), other.run_fingerprint());
+    }
+
+    #[test]
+    fn fault_loop_ends_on_the_last_regime_the_lint_proves() {
+        // `schedule-lint` proves the shapes `recovery_regimes` lists;
+        // the loop prices the deaths it applies itself. Whenever every
+        // host death of a plan lands before the run ends, both must end
+        // on the same shape: the same fallback grid, or the same
+        // patched-out ranks on the original grid.
+        let (mut patched, mut reshaped) = (0, 0);
+        for c in [cfg(120_000, 4, 4, 2), cfg(120_000, 4, 8, 1)] {
+            let size = c.grid.size();
+            let horizon = 0.8 * simulate_cluster(&c, false).report.time_s;
+            for seed in 0..12u64 {
+                let plans = [
+                    FaultPlan::cluster_campaign(seed, horizon, 24, size, c.cards_per_node),
+                    FaultPlan::fleet_campaign(
+                        seed,
+                        horizon,
+                        8,
+                        size,
+                        c.cards_per_node,
+                        phi_faults::CampaignScope::Mixed,
+                    ),
+                ];
+                for plan in &plans {
+                    let ranks = plan.host_death_ranks(size);
+                    for remap in [RemapStrategy::Patch, RemapStrategy::Wholesale] {
+                        for budget in [Some(1), Some(2), None] {
+                            let policy = FtPolicy {
+                                remap,
+                                death_budget: budget,
+                                ..FtPolicy::default()
+                            };
+                            let run = simulate_cluster_faulty(&c, plan, &policy, false);
+                            let f = run.result.report.faults.unwrap();
+                            if f.hosts_lost < ranks.len().min(size - 1) {
+                                continue;
+                            }
+                            let last = recovery_regimes(&c, plan, &policy).pop().unwrap();
+                            let what = format!("seed {seed}, {remap:?}, budget {budget:?}");
+                            if last.reshaped {
+                                reshaped += 1;
+                                let grid = (last.grid.p, last.grid.q);
+                                assert_eq!(f.fallback_grid, Some(grid), "{what}");
+                            } else {
+                                patched += 1;
+                                assert_eq!(f.fallback_grid, None, "{what}");
+                                let mut dead: Vec<usize> = Vec::new();
+                                for &rank in &ranks[..f.hosts_lost] {
+                                    if !dead.contains(&rank) {
+                                        dead.push(rank);
+                                    }
+                                }
+                                assert_eq!(last.dead_ranks, dead, "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            patched > 40 && reshaped > 40,
+            "{patched} patched, {reshaped} reshaped"
+        );
     }
 
     #[test]

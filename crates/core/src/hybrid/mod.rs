@@ -32,6 +32,7 @@ pub mod rankdes;
 pub mod stage;
 pub mod stage_gantt;
 
+pub(crate) use faulty::DeathStep;
 pub use faulty::{recovery_regimes, simulate_cluster_faulty, FtPolicy};
 pub use rankdes::simulate_cluster_rankdes;
 pub(crate) use stage::StageEnv;
@@ -116,6 +117,21 @@ impl HybridConfig {
         (self.n as f64 / self.grid.p as f64) * (self.n as f64 / self.grid.q as f64) * 8.0
     }
 
+    /// The host-memory gate every hybrid entry point asserts — the
+    /// constraint that structures Table III: the per-node share must
+    /// fit in 95 % of `host_mem_gib`. Callers that must not panic check
+    /// it first and report the refusal it returns.
+    #[inline]
+    pub fn fits_host_memory(&self) -> Result<(), String> {
+        if self.bytes_per_node() <= self.host_mem_gib * 1.073741824e9 * 0.95 {
+            return Ok(());
+        }
+        Err(format!(
+            "N = {} does not fit in {} GiB/node on a {}x{} grid",
+            self.n, self.host_mem_gib, self.grid.p, self.grid.q
+        ))
+    }
+
     /// Peak GFLOPS of the whole machine (hosts + cards).
     pub fn peak_gflops(&self) -> f64 {
         let host = self.offload.host.cfg.peak_gflops();
@@ -178,17 +194,11 @@ pub fn simulate_cluster_calibrated(cfg: &HybridConfig, sample_every: usize) -> C
     run_cluster(cfg, false, Some(sample_every))
 }
 
-/// The memory gate every hybrid entry point shares — the constraint
-/// that structures Table III.
+/// Panics with [`HybridConfig::fits_host_memory`]'s refusal.
 fn assert_fits_host_memory(cfg: &HybridConfig) {
-    assert!(
-        cfg.bytes_per_node() <= cfg.host_mem_gib * 1.073741824e9 * 0.95,
-        "N = {} does not fit in {} GiB/node on a {}x{} grid",
-        cfg.n,
-        cfg.host_mem_gib,
-        cfg.grid.p,
-        cfg.grid.q
-    );
+    if let Err(refusal) = cfg.fits_host_memory() {
+        panic!("{refusal}");
+    }
 }
 
 /// The stage loop: every stage priced by [`stage`] against the worst

@@ -8,7 +8,7 @@
 //! structure: serial everything (8a), panel under update (8b), and the
 //! swap/DTRSM/U-broadcast strips pipelined against the update (8c).
 
-use super::stage::{self, STRIPS};
+use super::stage::{self, StageParts, STRIPS};
 use super::{HybridConfig, Lookahead, StageEnv};
 use phi_des::{Kind, Trace};
 
@@ -17,48 +17,20 @@ const HOST_LANE: u32 = 0;
 /// Lane index of the coprocessor.
 const CARD_LANE: u32 = 1;
 
-/// Ingredients of one stage as Fig. 8 draws them.
-#[derive(Clone, Copy, Debug)]
-struct StageTimes {
-    /// Next panel factorization + its row broadcast (host).
-    pub panel: f64,
-    /// Row swapping (host + network).
-    pub swap: f64,
-    /// U DTRSM (host).
-    pub trsm: f64,
-    /// U broadcast (network, shown on the host lane).
-    pub ubcast: f64,
-    /// Trailing update (card).
-    pub update: f64,
-}
-
-/// Computes the stage ingredients at `stage` for `cfg` (worst node): a
-/// projection of the shared stage model's [`stage::parts`].
-fn stage_times(cfg: &HybridConfig, stage: usize) -> StageTimes {
-    assert!(stage < cfg.n.div_ceil(cfg.nb), "stage out of range");
-    let (rows_loc, cols_loc) = stage::worst_extents(cfg.grid, cfg.n, cfg.nb, stage);
-    let parts = stage::parts(&StageEnv::healthy(cfg), stage, rows_loc, cols_loc);
-    StageTimes {
-        panel: parts.panel + parts.pbcast,
-        swap: parts.swap,
-        trsm: parts.trsm,
-        ubcast: parts.ubcast,
-        update: parts.update,
-    }
-}
-
-/// Builds the Fig. 8 trace of one iteration under `scheme`. Returns the
-/// trace and the iteration's wall time.
-fn scheme_gantt(t: &StageTimes, scheme: Lookahead) -> (Trace, f64) {
+/// Builds the Fig. 8 trace of one iteration under `scheme` from the
+/// stage's ingredients; the panel span is the factorization plus its
+/// row broadcast. Returns the trace and the iteration's wall time.
+fn scheme_gantt(t: &StageParts, scheme: Lookahead) -> (Trace, f64) {
     let mut tr = Trace::default();
     tr.enable();
+    let panel = t.panel + t.pbcast;
     match scheme {
         Lookahead::None => {
             // Fig. 8a: panel → swap → trsm → ubcast → update, card idle
             // throughout the host phases.
             let mut now = 0.0;
             for (kind, dur) in [
-                (Kind::Panel, t.panel),
+                (Kind::Panel, panel),
                 (Kind::Swap, t.swap),
                 (Kind::Trsm, t.trsm),
                 (Kind::Comm, t.ubcast),
@@ -84,8 +56,8 @@ fn scheme_gantt(t: &StageTimes, scheme: Lookahead) -> (Trace, f64) {
                 now += dur;
             }
             tr.record(CARD_LANE, now, now + t.update, Kind::Gemm);
-            tr.record(HOST_LANE, now, now + t.panel, Kind::Panel);
-            let host_end = now + t.panel;
+            tr.record(HOST_LANE, now, now + panel, Kind::Panel);
+            let host_end = now + panel;
             let card_end = now + t.update;
             let end = host_end.max(card_end);
             if card_end < end {
@@ -102,19 +74,15 @@ fn scheme_gantt(t: &StageTimes, scheme: Lookahead) -> (Trace, f64) {
             let mut now = 0.0;
             for s in 0..STRIPS {
                 let frac = |x: f64| x / STRIPS as f64;
-                tr.record(HOST_LANE, now, now + frac(t.swap), Kind::Swap);
-                tr.record(
-                    HOST_LANE,
-                    now + frac(t.swap),
-                    now + frac(t.swap) + frac(t.trsm),
-                    Kind::Trsm,
-                );
-                tr.record(
-                    HOST_LANE,
-                    now + frac(t.swap) + frac(t.trsm),
-                    now + strip,
-                    Kind::Comm,
-                );
+                let swap_end = now + frac(t.swap);
+                let trsm_end = swap_end + frac(t.trsm);
+                tr.record(HOST_LANE, now, swap_end, Kind::Swap);
+                tr.record(HOST_LANE, swap_end, trsm_end, Kind::Trsm);
+                // With a free U broadcast (P = 1) `swap/12 + trsm/12` can
+                // round past the strip's end; the broadcast span is then
+                // empty, not reversed.
+                let end = now + strip;
+                tr.record(HOST_LANE, trsm_end.min(end), end, Kind::Comm);
                 if s == 0 {
                     tr.record(CARD_LANE, now, now + strip, Kind::Barrier);
                 }
@@ -125,8 +93,8 @@ fn scheme_gantt(t: &StageTimes, scheme: Lookahead) -> (Trace, f64) {
             let update_end = update_start + t.update;
             tr.record(CARD_LANE, update_start, update_end, Kind::Gemm);
             // Host: panel after the strips.
-            tr.record(HOST_LANE, three, three + t.panel, Kind::Panel);
-            let end = update_end.max(three + t.panel);
+            tr.record(HOST_LANE, three, three + panel, Kind::Panel);
+            let end = update_end.max(three + panel);
             (tr, end)
         }
     }
@@ -134,8 +102,13 @@ fn scheme_gantt(t: &StageTimes, scheme: Lookahead) -> (Trace, f64) {
 
 /// Renders all three schemes for one configuration/stage as ASCII Gantt
 /// charts.
+///
+/// # Panics
+/// Panics when `stage` is not a stage of `cfg`.
 pub fn fig8_render(cfg: &HybridConfig, stage: usize, width: usize) -> String {
-    let t = stage_times(cfg, stage);
+    assert!(stage < cfg.n.div_ceil(cfg.nb), "stage out of range");
+    let (rows_loc, cols_loc) = stage::worst_extents(cfg.grid, cfg.n, cfg.nb, stage);
+    let t = stage::parts(&StageEnv::healthy(cfg), stage, rows_loc, cols_loc);
     let mut out = String::new();
     for (scheme, label) in [
         (Lookahead::None, "no look-ahead (Fig. 8a)"),
@@ -162,9 +135,16 @@ mod tests {
         HybridConfig::new(84_000, ProcessGrid::new(2, 2), 2)
     }
 
+    /// The worst node's ingredients at `stage`, as `fig8_render` prices
+    /// them.
+    fn parts(cfg: &HybridConfig, stage: usize) -> StageParts {
+        let (rows, cols) = stage::worst_extents(cfg.grid, cfg.n, cfg.nb, stage);
+        stage::parts(&StageEnv::healthy(cfg), stage, rows, cols)
+    }
+
     #[test]
     fn scheme_durations_are_ordered() {
-        let t = stage_times(&cfg(), 5);
+        let t = parts(&cfg(), 5);
         let (_, none) = scheme_gantt(&t, Lookahead::None);
         let (_, basic) = scheme_gantt(&t, Lookahead::Basic);
         let (_, pipe) = scheme_gantt(&t, Lookahead::Pipelined);
@@ -174,7 +154,7 @@ mod tests {
 
     #[test]
     fn card_idle_shrinks_with_pipelining() {
-        let t = stage_times(&cfg(), 5);
+        let t = parts(&cfg(), 5);
         let idle = |scheme| {
             let (tr, dur) = scheme_gantt(&t, scheme);
             1.0 - tr.lane_busy_fraction(CARD_LANE, dur)
@@ -197,29 +177,23 @@ mod tests {
     }
 
     #[test]
-    fn ingredients_are_the_stage_models_on_any_grid_bcast_and_division() {
-        // Everything the old private copy ignored at once: P > 1 (pivot
-        // exchange latency), a non-ring broadcast, a static split.
-        let mut c = cfg();
-        c.bcast = phi_fabric::BcastScheme::Binomial;
-        c.division = super::super::WorkDivision::Static { card_fraction: 0.8 };
-        for s in [0, 5, 33, 69] {
-            let (rows, cols) = stage::worst_extents(c.grid, c.n, c.nb, s);
-            let parts = stage::parts(&StageEnv::healthy(&c), s, rows, cols);
-            let t = stage_times(&c, s);
-            assert_eq!(t.panel.to_bits(), (parts.panel + parts.pbcast).to_bits());
-            assert_eq!(t.swap.to_bits(), parts.swap.to_bits());
-            assert_eq!(t.trsm.to_bits(), parts.trsm.to_bits());
-            assert_eq!(t.ubcast.to_bits(), parts.ubcast.to_bits());
-            assert_eq!(t.update.to_bits(), parts.update.to_bits());
+    fn every_stage_of_the_reference_systems_renders() {
+        // 1×1 with one card is the shipped Fig. 8 system: its U
+        // broadcast is free, so the pipelined strips' sub-spans must
+        // not run past the strip (debug builds assert every span).
+        for c in [HybridConfig::new(84_000, ProcessGrid::new(1, 1), 1), cfg()] {
+            for stage in 0..c.n.div_ceil(c.nb) {
+                let text = fig8_render(&c, stage, 80);
+                assert_eq!(text.matches("Fig. 8").count(), 3, "stage {stage}");
+            }
         }
     }
 
     #[test]
     fn stage_times_shrink_with_stage() {
         let c = cfg();
-        let early = stage_times(&c, 2);
-        let late = stage_times(&c, 60);
+        let early = parts(&c, 2);
+        let late = parts(&c, 60);
         assert!(late.update < early.update);
         assert!(late.swap <= early.swap);
     }

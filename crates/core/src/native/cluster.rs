@@ -18,8 +18,9 @@
 //! and the fault-tolerant entry points both loop over it.
 
 use crate::hybrid::stage::worst_extents;
+use crate::hybrid::DeathStep;
 use crate::report::GigaflopsReport;
-use phi_fabric::{NetModel, PatchRemap, ProcessGrid, RemapStrategy, ScheduleShape};
+use phi_fabric::{NetModel, ProcessGrid, RemapStrategy, ScheduleShape};
 use phi_knc::{LuTaskModel, Precision};
 
 /// Extra store-and-forward latency per network operation: without a
@@ -62,19 +63,29 @@ impl NativeClusterConfig {
     fn bytes_per_card(&self) -> f64 {
         (self.n as f64 / self.grid.p as f64) * (self.n as f64 / self.grid.q as f64) * 8.0
     }
+
+    /// The GDDR gate both native-cluster entry points assert: the
+    /// per-card share must fit in 90 % of the card's memory. Callers
+    /// that must not panic check it first and report the refusal it
+    /// returns.
+    #[inline]
+    pub fn fits_gddr(&self) -> Result<(), String> {
+        let gib = self.tasks.gemm.chip.memory_gib;
+        if self.bytes_per_card() <= gib * 1.073741824e9 * 0.9 {
+            return Ok(());
+        }
+        Err(format!(
+            "N = {} does not fit {} GiB of GDDR per card on a {}x{} grid",
+            self.n, gib, self.grid.p, self.grid.q
+        ))
+    }
 }
 
-/// The GDDR gate both native-cluster entry points share.
+/// Panics with [`NativeClusterConfig::fits_gddr`]'s refusal.
 fn assert_fits_gddr(cfg: &NativeClusterConfig) {
-    let chip = cfg.tasks.gemm.chip;
-    assert!(
-        cfg.bytes_per_card() <= chip.memory_gib * 1.073741824e9 * 0.9,
-        "N = {} does not fit {} GiB of GDDR per card on a {}x{} grid",
-        cfg.n,
-        chip.memory_gib,
-        cfg.grid.p,
-        cfg.grid.q
-    );
+    if let Err(refusal) = cfg.fits_gddr() {
+        panic!("{refusal}");
+    }
 }
 
 /// Final back-substitution: one bandwidth-bound sweep over the local
@@ -139,14 +150,13 @@ pub fn simulate_native_cluster_ft(
     let size = cfg.grid.size();
 
     let mut total = 0.0f64;
-    let mut nodes_lost = 0usize;
     let mut hosts_seen = 0usize;
     let mut degraded_stages = 0usize;
     let mut checkpoint_s = 0.0f64;
     let mut recovery_s = 0.0f64;
     let mut prev_stage = 0.0f64;
     let mut blocks_moved = 0usize;
-    let mut patched_dead: Vec<usize> = Vec::new();
+    let mut nodes = DeathStep::native(cfg.grid, plan, remap);
 
     for stage in 0..s {
         let nb = cfg.nb.min(cfg.n - stage * cfg.nb);
@@ -158,42 +168,21 @@ pub fn simulate_native_cluster_ft(
         // whether only that share moves or the whole trailing matrix is
         // re-shipped).
         let e_now = plan.effects_at(total);
-        let lost_now = (e_now.cards_lost + e_now.hosts_lost).min(size - 1);
-        hosts_seen = hosts_seen.max(e_now.hosts_lost.min(lost_now));
-        if lost_now > nodes_lost {
-            let newly = lost_now - nodes_lost;
-            let survivors = size - lost_now;
+        if let Some(t) = nodes.apply(e_now.cards_lost + e_now.hosts_lost) {
             let restore = if checkpoint {
                 cfg.net.p2p(8.0 * (m_panel_loc * nb) as f64) + NIC_HOP_S
             } else {
                 prev_stage
             };
-            let redistribution = match remap {
-                RemapStrategy::Patch => {
-                    let dead_nodes = plan.node_death_ranks(size);
-                    let mut moved_elems = 0.0f64;
-                    for &node in &dead_nodes[nodes_lost..lost_now] {
-                        if patched_dead.contains(&node) {
-                            continue;
-                        }
-                        let r = cfg.grid.patch_remap(node);
-                        blocks_moved += r.moved_trailing_blocks(stage, s);
-                        moved_elems += r.moved_trailing_elements(stage, s, cfg.nb, cfg.n);
-                        patched_dead.push(node);
-                    }
-                    8.0 * moved_elems / (survivors as f64 * cfg.net.bandwidth)
-                }
-                RemapStrategy::Wholesale => {
-                    blocks_moved += PatchRemap::wholesale_trailing_blocks(stage, s);
-                    let trailing = (cfg.n - (stage * cfg.nb).min(cfg.n)) as f64;
-                    8.0 * trailing * trailing / (survivors as f64 * cfg.net.bandwidth)
-                }
-            };
-            let cost = newly as f64 * restore + redistribution;
+            let (blocks, elements) = t.moved(stage, s, cfg.nb, cfg.n);
+            blocks_moved += blocks;
+            let redistribution = 8.0 * elements / (t.survivors as f64 * cfg.net.bandwidth);
+            let cost = t.newly as f64 * restore + redistribution;
             recovery_s += cost;
             total += cost;
-            nodes_lost = lost_now;
         }
+        let nodes_lost = nodes.applied();
+        hosts_seen = hosts_seen.max(e_now.hosts_lost.min(nodes_lost));
         let survivors = size - nodes_lost;
         // Survivors absorb the dead nodes' block-cyclic share.
         let redivide = size as f64 / survivors as f64;
@@ -225,7 +214,7 @@ pub fn simulate_native_cluster_ft(
     GigaflopsReport::new(cfg.n, total, peak).with_faults(crate::report::FaultSummary {
         plan_fingerprint: plan.fingerprint(),
         events: plan.events().len(),
-        cards_lost: nodes_lost - hosts_seen,
+        cards_lost: nodes.applied() - hosts_seen,
         hosts_lost: hosts_seen,
         fallback_grid: None,
         remap,
@@ -240,36 +229,20 @@ pub fn simulate_native_cluster_ft(
 
 /// Every communication-grid regime [`simulate_native_cluster_ft`] can
 /// route through under `plan`: the healthy grid, then one
-/// [`ScheduleShape`] per applied node death. The native flavour never
-/// reshapes — the grid keeps its coordinates and survivors route around
-/// the dead ranks — so every shape sits on the original grid with an
-/// accumulating dead set, regardless of [`RemapStrategy`] (the strategy
-/// only prices how the blocks travel, not who talks to whom). Deaths
-/// replay one per boundary, the finest batching the simulator can see;
-/// verifying each shape proves any coarser batching safe.
+/// [`ScheduleShape`] per applied node death that adds a dead rank. The
+/// native flavour never reshapes — the grid keeps its coordinates and
+/// survivors route around the dead ranks — so every shape sits on the
+/// original grid with an accumulating dead set, regardless of
+/// [`RemapStrategy`] (the strategy only prices how the blocks travel,
+/// not who talks to whom). The shapes come from the fault loop's own
+/// death step, fed the deaths one per boundary, the finest batching the
+/// simulator can see; verifying each shape proves any coarser batching
+/// safe.
 pub fn native_recovery_regimes(
     cfg: &NativeClusterConfig,
     plan: &phi_faults::FaultPlan,
 ) -> Vec<ScheduleShape> {
-    let size = cfg.grid.size();
-    let mut shapes = vec![ScheduleShape::healthy(cfg.grid)];
-    let mut dead: Vec<usize> = Vec::new();
-    // The simulator caps deaths at `size - 1`: a survivor remains.
-    for rank in plan
-        .node_death_ranks(size)
-        .into_iter()
-        .take(size.saturating_sub(1))
-    {
-        if !dead.contains(&rank) {
-            dead.push(rank);
-            shapes.push(ScheduleShape {
-                grid: cfg.grid,
-                dead_ranks: dead.clone(),
-                reshaped: false,
-            });
-        }
-    }
-    shapes
+    DeathStep::native(cfg.grid, plan, RemapStrategy::default()).regimes()
 }
 
 /// One stage of the native-cluster loop — the only place the native

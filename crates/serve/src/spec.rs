@@ -210,14 +210,9 @@ impl CampaignSpec {
         }
         // The same memory gate `simulate_cluster` asserts — checked
         // here so an infeasible spec is a typed error, not a panic.
-        let cfg = self.hybrid_config();
-        if cfg.bytes_per_node() > self.host_mem_gib * 1.073741824e9 * 0.95 {
-            return Err(ServeError::invalid(format!(
-                "N = {} does not fit {} GiB/node on a {p}x{q} grid",
-                self.n, self.host_mem_gib
-            )));
-        }
-        Ok(())
+        self.hybrid_config()
+            .fits_host_memory()
+            .map_err(ServeError::invalid)
     }
 
     /// The canonical form: equal simulations, equal specs. A fault plan

@@ -129,8 +129,7 @@ impl Candidate {
                 return false;
             }
         }
-        let cfg = self.config(machine);
-        cfg.bytes_per_node() <= cfg.host_mem_gib * 1.073741824e9 * 0.95
+        self.config(machine).fits_host_memory().is_ok()
     }
 
     /// Canonical key: deterministic identity, dedup and tie-break order.
